@@ -465,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (default: LOGITBOOT_SEED or 0)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for replicate fitting; results do not depend on it")
+                   help="accepted for compatibility (must be >= 1); replicates "
+                        "always run serially and results do not depend on it")
     p.add_argument("--ci-level", type=float, default=0.95)
     p.add_argument("--ci-method", choices=["wald", "percentile", "bca", "all"],
                    default="percentile",

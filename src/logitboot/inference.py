@@ -2,8 +2,8 @@
 
 The bootstrap here is case resampling: replicate ``b`` redraws ``n`` row
 indices with replacement and refits the model on the resampled rows.  The
-index stream is a pure function of ``(master_seed, b)`` so results are
-bit-reproducible no matter how replicates are scheduled:
+index stream is a pure function of ``(master_seed, b)``, so any replicate
+can be regenerated bit for bit on its own:
 
     rng = numpy.random.default_rng(numpy.random.SeedSequence((master_seed, b)))
     indices = rng.integers(0, n, size=n)
@@ -21,11 +21,10 @@ interpolation between order statistics: the level-``q`` quantile sits at
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-import scipy.stats
 
 from .errors import (
     DegenerateResponseError,
@@ -43,6 +42,16 @@ MIN_BCA_REPLICATES = 1000
 
 # Below this surviving fraction the resampling distribution is untrustworthy.
 MIN_SURVIVING_FRACTION = 0.5
+
+_STANDARD_NORMAL = NormalDist()
+
+
+def _normal_ppf(p: float) -> float:
+    # NormalDist.inv_cdf raises at 0 and 1, which (1 + level) / 2 reaches for
+    # a level one ulp below 1; the quantiles there are -inf and +inf.
+    if 0.0 < p < 1.0:
+        return _STANDARD_NORMAL.inv_cdf(p)
+    return np.copysign(np.inf, p - 0.5)
 
 
 @dataclass(frozen=True)
@@ -158,15 +167,16 @@ def resample_indices(master_seed: int, replicate: int, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _replicate_coefficients(
-    data: EncodedDataset, config: FitConfig | None, master_seed: int, b: int
+def _refit(
+    data: EncodedDataset, rows: np.ndarray, config: FitConfig | None
 ) -> np.ndarray | None:
-    idx = resample_indices(master_seed, b, data.n_observations)
-    response = data.response[idx]
+    """Coefficients refitted on the rows of ``data`` indexed by ``rows``, or
+    None when that subset is single-class, separates, or does not converge."""
+    response = data.response[rows]
     total = response.sum()
     if total == 0 or total == response.size:
         return None
-    sub = EncodedDataset(data.design[idx], response, data.column_names)
+    sub = EncodedDataset(data.design[rows], response, data.column_names)
     try:
         fit = fit_mle(sub, config)
     except (DegenerateResponseError, SeparationError):
@@ -186,9 +196,9 @@ def bootstrap_fit(
     Fits the full dataset first (propagating any failure), then refits each
     of ``replicates`` resamples.  Replicates that degenerate, separate, or
     fail to converge are dropped and counted via ``result.dropped``.
-    Results are identical for any ``workers`` value: replicate ``b``
-    depends only on ``(master_seed, b)`` and rows are assembled in
-    replicate order.
+    Replicates run serially in replicate order.  ``workers`` is accepted
+    and validated (it must be at least 1) but has no effect on scheduling
+    or results.
 
     Raises
     ------
@@ -200,16 +210,11 @@ def bootstrap_fit(
     if workers < 1:
         raise DomainError("workers must be at least 1")
     original = fit_mle(data, config)
-
-    def one(b: int) -> np.ndarray | None:
-        return _replicate_coefficients(data, config, master_seed, b)
-
-    if workers == 1:
-        outcomes = [one(b) for b in range(replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(replicates)))
-
+    n = data.n_observations
+    outcomes = [
+        _refit(data, resample_indices(master_seed, b, n), config)
+        for b in range(replicates)
+    ]
     ids = [b for b, coef in enumerate(outcomes) if coef is not None]
     kept = [outcomes[b] for b in ids]
     if len(kept) < MIN_SURVIVING_FRACTION * replicates:
@@ -244,7 +249,7 @@ def wald_ci(fit: FitResult, level: float = 0.95) -> list[IntervalEstimate]:
     _check_level(level)
     if not fit.converged:
         raise NotConvergedError("Wald intervals require a converged fit")
-    z = float(scipy.stats.norm.ppf((1.0 + level) / 2.0))
+    z = _normal_ppf((1.0 + level) / 2.0)
     out = []
     for j, (theta, se) in enumerate(zip(fit.coefficients, fit.standard_errors)):
         out.append(
@@ -303,21 +308,8 @@ def jackknife_estimates(
     Rows whose refit fails or does not converge are omitted.
     """
     n = data.n_observations
-    keep_rows = []
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        mask[i] = False
-        response = data.response[mask]
-        total = response.sum()
-        if 0 < total < response.size:
-            sub = EncodedDataset(data.design[mask], response, data.column_names)
-            try:
-                fit = fit_mle(sub, config)
-                if fit.converged:
-                    keep_rows.append(fit.coefficients)
-            except (DegenerateResponseError, SeparationError):
-                pass
-        mask[i] = True
+    refits = (_refit(data, np.delete(np.arange(n), i), config) for i in range(n))
+    keep_rows = [coef for coef in refits if coef is not None]
     if len(keep_rows) < 2:
         raise InsufficientReplicatesError(
             "fewer than two leave-one-out refits succeeded"
@@ -401,7 +393,7 @@ def bca_ci(
                 upper=base.upper,
                 fallback=True,
             )
-        z0 = float(scipy.stats.norm.ppf(fraction))
+        z0 = _normal_ppf(fraction)
     else:
         z0 = float(bias_correction)
 
@@ -416,9 +408,9 @@ def bca_ci(
         # degenerate case matches percentile_ci bit for bit.
         alpha_lo, alpha_hi = alpha, 1.0 - alpha
     else:
-        z_lo, z_hi = scipy.stats.norm.ppf([alpha, 1.0 - alpha])
-        alpha_lo = float(scipy.stats.norm.cdf(z0 + (z0 + z_lo) / (1.0 - a * (z0 + z_lo))))
-        alpha_hi = float(scipy.stats.norm.cdf(z0 + (z0 + z_hi) / (1.0 - a * (z0 + z_hi))))
+        z = np.array([_normal_ppf(alpha), _normal_ppf(1.0 - alpha)])
+        adjusted = z0 + (z0 + z) / (1.0 - a * (z0 + z))
+        alpha_lo, alpha_hi = (_STANDARD_NORMAL.cdf(float(v)) for v in adjusted)
     lower, upper = np.quantile(column, [alpha_lo, alpha_hi])
     return IntervalEstimate(
         coefficient_index=coefficient_index,

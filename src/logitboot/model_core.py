@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateResponseError,
@@ -200,6 +199,10 @@ def _log1pexp(eta: np.ndarray) -> np.ndarray:
     return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
 
 
+def _log_likelihood_at(y: np.ndarray, eta: np.ndarray) -> float:
+    return float(y @ eta - _log1pexp(eta).sum())
+
+
 def sigmoid(eta):
     """Logistic response ``1 / (1 + exp(-eta))``, elementwise.
 
@@ -268,8 +271,7 @@ def log_likelihood(coefficients, data: EncodedDataset) -> float:
     probabilities ``H_i^y_i (1 - H_i)^(1 - y_i)``.
     """
     theta = _check_theta(coefficients, data)
-    eta = data.design @ theta
-    return float(data.response @ eta - _log1pexp(eta).sum())
+    return _log_likelihood_at(data.response, data.design @ theta)
 
 
 def score(coefficients, data: EncodedDataset) -> np.ndarray:
@@ -298,10 +300,11 @@ def _information_from_probs(design: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        factor = scipy.linalg.cho_factor(matrix, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise SeparationError(f"information matrix is not invertible: {exc}") from exc
+    # matrix = L L', so solve L z = rhs, then L' x = z.
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
@@ -341,7 +344,7 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
 
     design = data.design
     eta = design @ theta
-    loglik = float(y @ eta - _log1pexp(eta).sum())
+    loglik = _log_likelihood_at(y, eta)
     h = _sigmoid_core(eta)
     grad = design.T @ (y - h)
     iterations = 0
@@ -357,7 +360,7 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
         step = _solve_spd(info, grad)
         candidate = theta + step
         cand_eta = design @ candidate
-        cand_loglik = float(y @ cand_eta - _log1pexp(cand_eta).sum())
+        cand_loglik = _log_likelihood_at(y, cand_eta)
         halvings = 0
         # Halve only on decreases beyond the rounding noise of the
         # log-likelihood; reacting to one-ulp regressions near the optimum
@@ -367,7 +370,7 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
             step = 0.5 * step
             candidate = theta + step
             cand_eta = design @ candidate
-            cand_loglik = float(y @ cand_eta - _log1pexp(cand_eta).sum())
+            cand_loglik = _log_likelihood_at(y, cand_eta)
             halvings += 1
         theta, eta, loglik = candidate, cand_eta, cand_loglik
         iterations += 1

@@ -18,7 +18,15 @@ from conftest import GOLDEN_COEFFICIENTS
 GOLDEN_FLAG = ",".join(str(c) for c in GOLDEN_COEFFICIENTS)
 
 
-def run_cli(*args, env_extra=None, pin_time=True):
+# Runs the CLI with every ``import scipy`` failing, as on a NumPy-only install.
+WITHOUT_SCIPY = (
+    "-c",
+    "import runpy, sys; sys.modules['scipy'] = None; "
+    "runpy.run_module('logitboot', run_name='__main__', alter_sys=True)",
+)
+
+
+def run_cli(*args, env_extra=None, pin_time=True, launcher=("-m", "logitboot")):
     env = dict(os.environ)
     if pin_time:
         env["SOURCE_DATE_EPOCH"] = "1700000000"
@@ -26,7 +34,7 @@ def run_cli(*args, env_extra=None, pin_time=True):
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        [sys.executable, "-m", "logitboot", *args],
+        [sys.executable, *launcher, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -262,3 +270,33 @@ class TestExitCodes:
         code, _, err = run_cli("fit", "--input", str(path))
         assert code == 0
         assert "PMOT" in err
+
+
+class TestNumpyOnlyRuntime:
+    @pytest.mark.parametrize("args", [
+        ("fit",),
+        ("bootstrap", "--replicates", "1000", "--ci-method", "all"),
+    ])
+    def test_runs_without_scipy(self, study_csv, args):
+        args = (*args, "--input", study_csv)
+        code, blocked, err = run_cli(*args, launcher=WITHOUT_SCIPY)
+        assert code == 0, err
+        assert blocked == run_cli(*args)[1]
+
+    def test_import_loads_no_scipy(self):
+        probe = (
+            "import sys, logitboot; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_wald_level_one_ulp_below_one_is_usage_error(self, study_csv):
+        # (1 + level) / 2 rounds to 1.0, so the normal quantile is infinite.
+        code, out, _ = run_cli("bootstrap", "--input", study_csv,
+                               "--replicates", "120", "--ci-method", "wald",
+                               "--ci-level", "0.9999999999999999")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DomainError"
