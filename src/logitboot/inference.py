@@ -46,14 +46,6 @@ MIN_SURVIVING_FRACTION = 0.5
 _STANDARD_NORMAL = NormalDist()
 
 
-def _normal_ppf(p: float) -> float:
-    # NormalDist.inv_cdf raises at 0 and 1, which (1 + level) / 2 reaches for
-    # a level one ulp below 1; the quantiles there are -inf and +inf.
-    if 0.0 < p < 1.0:
-        return _STANDARD_NORMAL.inv_cdf(p)
-    return np.copysign(np.inf, p - 0.5)
-
-
 @dataclass(frozen=True)
 class BootstrapResult:
     """Coefficient replicates from a case-resampling bootstrap.
@@ -232,8 +224,14 @@ def bootstrap_fit(
 
 
 def _check_level(level: float) -> None:
-    if not (0.0 < level < 1.0):
-        raise DomainError("confidence level must lie strictly in (0, 1)")
+    # Within an ulp of 1 a level's tail probabilities round to 0 and 1,
+    # where the normal quantile is infinite.
+    lower, upper = (1.0 - level) / 2.0, (1.0 + level) / 2.0
+    if not (0.0 < level < 1.0 and 0.0 < lower and upper < 1.0):
+        raise DomainError(
+            "confidence level must lie strictly in (0, 1), with tail "
+            "probabilities (1 - level) / 2 and (1 + level) / 2 inside (0, 1)"
+        )
 
 
 def wald_ci(fit: FitResult, level: float = 0.95) -> list[IntervalEstimate]:
@@ -249,7 +247,7 @@ def wald_ci(fit: FitResult, level: float = 0.95) -> list[IntervalEstimate]:
     _check_level(level)
     if not fit.converged:
         raise NotConvergedError("Wald intervals require a converged fit")
-    z = _normal_ppf((1.0 + level) / 2.0)
+    z = _STANDARD_NORMAL.inv_cdf((1.0 + level) / 2.0)
     out = []
     for j, (theta, se) in enumerate(zip(fit.coefficients, fit.standard_errors)):
         out.append(
@@ -393,7 +391,7 @@ def bca_ci(
                 upper=base.upper,
                 fallback=True,
             )
-        z0 = _normal_ppf(fraction)
+        z0 = _STANDARD_NORMAL.inv_cdf(fraction)
     else:
         z0 = float(bias_correction)
 
@@ -408,7 +406,7 @@ def bca_ci(
         # degenerate case matches percentile_ci bit for bit.
         alpha_lo, alpha_hi = alpha, 1.0 - alpha
     else:
-        z = np.array([_normal_ppf(alpha), _normal_ppf(1.0 - alpha)])
+        z = np.array([_STANDARD_NORMAL.inv_cdf(p) for p in (alpha, 1.0 - alpha)])
         adjusted = z0 + (z0 + z) / (1.0 - a * (z0 + z))
         alpha_lo, alpha_hi = (_STANDARD_NORMAL.cdf(float(v)) for v in adjusted)
     lower, upper = np.quantile(column, [alpha_lo, alpha_hi])

@@ -14,6 +14,10 @@ information is ``X' W X`` with ``W = diag(H (1 - H))``; because the logistic
 link is canonical, the observed information equals the expected (Fisher)
 information, so Newton-Raphson and Fisher scoring coincide here.
 
+The information is eigendecomposed once per iterate.  That one factor gives
+the conditioning guard lambda_max / lambda_min (a lambda_min that is not
+positive counts as singular), the Newton step and the final covariance.
+
 Numerical policy: probabilities never exponentiate a large positive
 argument.  ``sigmoid`` branches on the sign of its argument, and
 ``ln(1 + exp(t))`` is computed as ``max(t, 0) + log1p(exp(-|t|))``.
@@ -37,8 +41,9 @@ from .errors import (
 # the coefficient runs away: perfect or quasi-separation, no finite MLE.
 COEFFICIENT_BOUND = 30.0
 
-# Information matrices with a condition estimate beyond this are treated as
-# numerically singular (collinear predictors).
+# Information matrices whose eigenvalue ratio lambda_max / lambda_min (the
+# 2-norm condition number) exceeds this, or whose lambda_min is not positive,
+# are treated as numerically singular (collinear predictors).
 CONDITION_LIMIT = 1e12
 
 MAX_STEP_HALVINGS = 10
@@ -183,12 +188,10 @@ class FitResult:
 
 
 def _sigmoid_core(eta: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp() only ever sees non-positive arguments.
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp() only ever sees non-positive arguments: with e = exp(-|eta|) the
+    # sigmoid is 1 / (1 + e) for eta >= 0 and e / (1 + e) below.
+    e = np.exp(-np.abs(eta))
+    out = np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     # Keep the output strictly inside (0, 1) even where exp() underflows.
     np.clip(out, _P_LO, _P_HI, out=out)
     return out
@@ -298,13 +301,18 @@ def _information_from_probs(design: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (info + info.T) * 0.5
 
 
-def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        lower = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SeparationError(f"information matrix is not invertible: {exc}") from exc
-    # matrix = L L', so solve L z = rhs, then L' x = z.
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+def _information_eigen(
+    design: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    lam, vec = np.linalg.eigh(_information_from_probs(design, h))
+    # Eigenvalues come in ascending order.  The comparison is False when
+    # lam[0] is zero, negative or NaN, so those count as singular too.
+    if not lam[0] * CONDITION_LIMIT > lam[-1]:
+        raise SeparationError(
+            "information matrix is numerically singular "
+            f"(condition estimate exceeds {CONDITION_LIMIT:.0e})"
+        )
+    return lam, vec
 
 
 def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
@@ -316,13 +324,17 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
     Exhausting the iteration budget returns a result with
     ``converged=False`` rather than raising.
 
+    The information is eigendecomposed once per iterate, the first and the
+    last included; the covariance comes from the final iterate's factor.
+
     Raises
     ------
     DegenerateResponseError
         If the response is all zeros or all ones.
     SeparationError
-        If an iterate's magnitude crosses ``COEFFICIENT_BOUND`` or the
-        information matrix has condition estimate above ``CONDITION_LIMIT``.
+        If an iterate's magnitude crosses ``COEFFICIENT_BOUND``, or the
+        information matrix has lambda_max / lambda_min above
+        ``CONDITION_LIMIT`` or a lambda_min that is not positive.
     """
     if config is None:
         config = FitConfig()
@@ -345,19 +357,15 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
     design = data.design
     eta = design @ theta
     loglik = _log_likelihood_at(y, eta)
-    h = _sigmoid_core(eta)
-    grad = design.T @ (y - h)
     iterations = 0
-    converged = bool(np.max(np.abs(grad)) <= config.tolerance)
-
-    while not converged and iterations < config.max_iterations:
-        info = _information_from_probs(design, h)
-        if np.linalg.cond(info) > CONDITION_LIMIT:
-            raise SeparationError(
-                "information matrix is numerically singular "
-                f"(condition estimate exceeds {CONDITION_LIMIT:.0e})"
-            )
-        step = _solve_spd(info, grad)
+    while True:
+        h = _sigmoid_core(eta)
+        grad = design.T @ (y - h)
+        lam, vec = _information_eigen(design, h)
+        converged = bool(np.max(np.abs(grad)) <= config.tolerance)
+        if converged or iterations >= config.max_iterations:
+            break
+        step = vec @ ((vec.T @ grad) / lam)
         candidate = theta + step
         cand_eta = design @ candidate
         cand_loglik = _log_likelihood_at(y, cand_eta)
@@ -379,16 +387,8 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
                 f"coefficient magnitude exceeded {COEFFICIENT_BOUND:g}; "
                 "the data are separated and the MLE is not finite"
             )
-        h = _sigmoid_core(eta)
-        grad = design.T @ (y - h)
-        converged = bool(np.max(np.abs(grad)) <= config.tolerance)
 
-    info = _information_from_probs(design, h)
-    if np.linalg.cond(info) > CONDITION_LIMIT:
-        raise SeparationError(
-            "information matrix is numerically singular at the final iterate"
-        )
-    covariance = _solve_spd(info, np.eye(width))
+    covariance = (vec / lam) @ vec.T
     covariance = (covariance + covariance.T) * 0.5
     return FitResult(
         coefficients=theta,

@@ -293,10 +293,11 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_wald_level_one_ulp_below_one_is_usage_error(self, study_csv):
+    @pytest.mark.parametrize("method", ["wald", "percentile", "bca", "all"])
+    def test_wald_level_one_ulp_below_one_is_usage_error(self, study_csv, method):
         # (1 + level) / 2 rounds to 1.0, so the normal quantile is infinite.
         code, out, _ = run_cli("bootstrap", "--input", study_csv,
-                               "--replicates", "120", "--ci-method", "wald",
+                               "--replicates", "120", "--ci-method", method,
                                "--ci-level", "0.9999999999999999")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "DomainError"

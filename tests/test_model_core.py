@@ -245,10 +245,12 @@ class TestObservedInformation:
         assert observed_information(theta, data) == pytest.approx(-jac, rel=1e-5, abs=1e-7)
 
     def test_inverse_matches_fit_covariance(self):
-        data, _ = random_dataset(seed=41, n=200, k=2)
-        fit = fit_mle(data)
-        info = observed_information(fit.coefficients, data)
-        assert info @ fit.covariance == pytest.approx(np.eye(3), abs=1e-10)
+        cases = [(41, 200, 2), (42, 60, 1), (43, 400, 3), (44, 150, 5), (45, 90, 0)]
+        for seed, n, k in cases:
+            data, _ = random_dataset(seed=seed, n=n, k=k)
+            fit = fit_mle(data)
+            info = observed_information(fit.coefficients, data)
+            assert info @ fit.covariance == pytest.approx(np.eye(k + 1), abs=1e-10)
 
 
 class TestFitMLE:
@@ -285,6 +287,32 @@ class TestFitMLE:
         data = EncodedDataset(design, (np.arange(30) % 2).astype(float))
         with pytest.raises(SeparationError):
             fit_mle(data)
+
+    def test_nearly_collinear_columns_rejected(self):
+        # A column within 1e-7 of another puts cond(X'WX) near 4e14.
+        data, _ = random_dataset(seed=131, n=200, k=2)
+        rng = np.random.default_rng(132)
+        nudged = data.design[:, 1] + 1e-7 * rng.normal(size=200)
+        near = EncodedDataset(np.column_stack([data.design, nudged]), data.response)
+        assert np.linalg.cond(observed_information(np.zeros(4), near)) > 1e14
+        with pytest.raises(SeparationError, match="singular"):
+            fit_mle(near)
+
+    def test_badly_scaled_well_posed_design_fits(self):
+        # Scaling one column by 3e4 leaves the problem well posed but puts
+        # cond(X'WX) near 1e9, inside the 1e12 guard.
+        data, _ = random_dataset(seed=131, n=200, k=2)
+        design = data.design.copy()
+        design[:, 2] *= 3e4
+        scaled = EncodedDataset(design, data.response)
+        fit = fit_mle(scaled)
+        assert fit.converged
+        cond = np.linalg.cond(observed_information(fit.coefficients, scaled))
+        assert 1e8 < cond < 1e11
+        base = fit_mle(data)
+        assert fit.coefficients * [1.0, 1.0, 3e4] == pytest.approx(
+            base.coefficients, rel=1e-8
+        )
 
     def test_iteration_budget_returns_unconverged(self):
         data, _ = random_dataset(seed=61, n=300, k=3)
