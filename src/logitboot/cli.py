@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Every run prints a single JSON document to stdout whose ``manifest`` block
-records the subcommand, package version, timestamp, and the full
-configuration, so results are traceable to their inputs.  Warnings (ignored
+Every run, failed or not, prints a single JSON document to stdout.  Its
+``manifest`` block, built once per run by ``main``, records the subcommand,
+package version, timestamp, the configuration (every option of the
+subcommand except ``--input``, in declaration order, as parsed) and, for
+subcommands that read a CSV, the input path.  A successful run adds the
+results after it; a failed one adds an ``error`` block.  Warnings (ignored
 CSV columns, dropped bootstrap replicates) go to stderr.
 
 Determinism: all randomness flows from explicit seeds (``--seed``, with the
@@ -103,15 +106,17 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(max_iterations=args.max_iter, tolerance=args.tol)
 
 
-def _add_fit_flags(parser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="score tolerance for convergence (default 1e-8)")
-    parser.add_argument("--max-iter", type=int, default=25,
-                        help="Newton iteration budget (default 25)")
-
-
 def _coefficient_map(names, values) -> dict[str, float]:
     return {name: float(v) for name, v in zip(names, values)}
+
+
+def _fit_summary(fit: FitResult) -> dict:
+    return {
+        "coefficients": _coefficient_map(fit.column_names, fit.coefficients),
+        "standard_errors": _coefficient_map(fit.column_names, fit.standard_errors),
+        "iterations": fit.iterations,
+        "converged": fit.converged,
+    }
 
 
 def _fit_payload(fit: FitResult) -> dict:
@@ -200,12 +205,7 @@ def _cmd_bootstrap(args):
     means = result.replicates.mean(axis=0)
     payload = {
         "columns": list(fit.column_names),
-        "original": {
-            "coefficients": _coefficient_map(fit.column_names, fit.coefficients),
-            "standard_errors": _coefficient_map(fit.column_names, fit.standard_errors),
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-        },
+        "original": _fit_summary(fit),
         "replicates": {
             "requested": result.requested,
             "converged": result.converged,
@@ -219,28 +219,16 @@ def _cmd_bootstrap(args):
 
 def _cmd_split(args):
     data = _load_dataset(args.input)
-    sizes = _parse_int_list(args.sizes, "--sizes")
+    sizes = _parse_list(args.sizes, "--sizes", int)
     report = split_sample_fit(
         data, sizes, _fit_config(args), shuffle_seed=args.shuffle_seed
     )
-    entries = []
-    for entry_ in report.entries:
-        if entry_.fit is None:
-            entries.append({"size": entry_.size, "error": entry_.error})
-        else:
-            fit = entry_.fit
-            entries.append(
-                {
-                    "size": entry_.size,
-                    "error": None,
-                    "coefficients": _coefficient_map(fit.column_names, fit.coefficients),
-                    "standard_errors": _coefficient_map(
-                        fit.column_names, fit.standard_errors
-                    ),
-                    "iterations": fit.iterations,
-                    "converged": fit.converged,
-                }
-            )
+    entries = [
+        {"size": e.size, "error": e.error}
+        if e.fit is None
+        else {"size": e.size, "error": None, **_fit_summary(e.fit)}
+        for e in report.entries
+    ]
     return {"columns": list(data.column_names), "splits": entries}, EXIT_OK
 
 
@@ -283,25 +271,19 @@ def _cmd_validate(args):
     return payload, EXIT_OK
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise DomainError(f"{flag} expects a comma-separated list of numbers") from None
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise DomainError(f"{flag} expects a comma-separated list of integers") from None
+        noun = "integers" if kind is int else "numbers"
+        raise DomainError(f"{flag} expects a comma-separated list of {noun}") from None
 
 
 def _curves_fit(args) -> FitResult:
     if (args.coefficients is None) == (args.fit_json is None):
         raise DomainError("pass exactly one of --coefficients or --fit-json")
     if args.coefficients is not None:
-        values = _parse_float_list(args.coefficients, "--coefficients")
+        values = _parse_list(args.coefficients, "--coefficients")
         names = ENCODED_COLUMNS
         if len(values) != len(names):
             raise DomainError(
@@ -321,6 +303,10 @@ def _curves_fit(args) -> FitResult:
             raise SchemaError(
                 f"{args.fit_json}: missing 'columns'/'coefficients' fit fields"
             ) from None
+        except (ValueError, OverflowError):
+            raise SchemaError(f"{args.fit_json}: non-numeric coefficient") from None
+    if not np.all(np.isfinite(values)):
+        raise DomainError("curve coefficients must be finite")
     width = len(names)
     # Coefficients-only carrier; covariance is irrelevant to curve heights.
     return FitResult(
@@ -337,6 +323,8 @@ def _curves_fit(args) -> FitResult:
 
 def _cmd_curves(args):
     fit = _curves_fit(args)
+    if not np.all(np.isfinite([args.age_from, args.age_to, args.age_step])):
+        raise DomainError("--age-from, --age-to and --age-step must be finite")
     if args.age_step <= 0:
         raise DomainError("--age-step must be positive")
     if args.age_to < args.age_from:
@@ -349,7 +337,10 @@ def _cmd_curves(args):
             f"--profiles accepts a comma-separated subset of {', '.join(_PROFILE_NAMES)}"
         )
     by_name = {p.name: p for p in standard_profiles(grid)}
-    points = probability_curves(fit, [by_name[name] for name in wanted])
+    points = [
+        {"profile": p.profile, "age": p.age, "probability": p.probability}
+        for p in probability_curves(fit, [by_name[name] for name in wanted])
+    ]
 
     if args.format == "csv" and args.out is None:
         raise DomainError("--format csv requires --out FILE")
@@ -358,34 +349,22 @@ def _cmd_curves(args):
             with open(args.out, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["profile", "age", "probability"])
-                for p in points:
-                    writer.writerow([p.profile, repr(p.age), repr(p.probability)])
+                writer.writerows(
+                    [p["profile"], repr(p["age"]), repr(p["probability"])] for p in points
+                )
         else:
             with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(
-                    [
-                        {"profile": p.profile, "age": p.age, "probability": p.probability}
-                        for p in points
-                    ],
-                    handle,
-                    indent=2,
-                )
+                json.dump(points, handle, indent=2)
                 handle.write("\n")
 
-    payload = {
-        "columns": list(fit.column_names),
-        "points": [
-            {"profile": p.profile, "age": p.age, "probability": p.probability}
-            for p in points
-        ],
-    }
+    payload = {"columns": list(fit.column_names), "points": points}
     if args.out is not None:
         payload["output"] = args.out
     return payload, EXIT_OK
 
 
 def _cmd_simulate(args):
-    values = _parse_float_list(args.coefficients, "--coefficients")
+    values = _parse_list(args.coefficients, "--coefficients")
     if len(values) != 4:
         raise DomainError(
             "--coefficients expects 4 values in order "
@@ -412,36 +391,14 @@ def _cmd_simulate(args):
 
 
 def _config_echo(args) -> dict:
-    echo = {}
-    for key in (
-        "tol",
-        "max_iter",
-        "replicates",
-        "seed",
-        "workers",
-        "ci_level",
-        "ci_method",
-        "sizes",
-        "shuffle_seed",
-        "train_count",
-        "threshold",
-        "coefficients",
-        "fit_json",
-        "profiles",
-        "age_from",
-        "age_to",
-        "age_step",
-        "format",
-        "n",
-        "age_low",
-        "age_high",
-        "p_emp",
-        "p_gender",
-        "out",
-    ):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
-    return echo
+    # Every parsed option in declaration order; the input path has its own
+    # manifest key.  JSON has no token for NaN or infinity, so a non-finite
+    # number is echoed as its text ("nan", "inf", "-inf").
+    return {
+        key: value if not isinstance(value, float) or np.isfinite(value) else repr(value)
+        for key, value in vars(args).items()
+        if key not in ("subcommand", "handler", "input")
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,15 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    fit_flags = argparse.ArgumentParser(add_help=False)
+    fit_flags.add_argument("--input", required=True,
+                           help="CSV with Age, Gender/Sex, Emp, HIV")
+    fit_flags.add_argument("--tol", type=float, default=1e-8,
+                           help="score tolerance for convergence (default 1e-8)")
+    fit_flags.add_argument("--max-iter", type=int, default=25,
+                           help="Newton iteration budget (default 25)")
 
-    p = sub.add_parser("fit", help="fit the model to a CSV file")
-    p.add_argument("--input", required=True, help="CSV with Age, Gender/Sex, Emp, HIV")
-    _add_fit_flags(p)
+    p = sub.add_parser("fit", parents=[fit_flags], help="fit the model to a CSV file")
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("bootstrap", help="case-resampling bootstrap intervals")
-    p.add_argument("--input", required=True)
-    _add_fit_flags(p)
+    p = sub.add_parser("bootstrap", parents=[fit_flags],
+                       help="case-resampling bootstrap intervals")
     p.add_argument("--replicates", type=int, default=10_000,
                    help="bootstrap replicates (default 10000)")
     p.add_argument("--seed", type=int, default=None,
@@ -473,18 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bca additionally runs n leave-one-out refits")
     p.set_defaults(handler=_cmd_bootstrap)
 
-    p = sub.add_parser("split", help="refit on nested prefix subsets")
-    p.add_argument("--input", required=True)
-    _add_fit_flags(p)
+    p = sub.add_parser("split", parents=[fit_flags],
+                       help="refit on nested prefix subsets")
     p.add_argument("--sizes", default="50,100,200,300,400",
                    help="comma-separated strictly increasing subset sizes")
     p.add_argument("--shuffle-seed", type=int, default=None,
                    help="permute rows with this seed before splitting")
     p.set_defaults(handler=_cmd_split)
 
-    p = sub.add_parser("validate", help="train on a prefix, score the rest")
-    p.add_argument("--input", required=True)
-    _add_fit_flags(p)
+    p = sub.add_parser("validate", parents=[fit_flags],
+                       help="train on a prefix, score the rest")
     p.add_argument("--train-count", type=int, default=300,
                    help="rows used for training (default 300)")
     p.add_argument("--threshold", type=float, default=0.5,
@@ -506,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_curves)
 
     p = sub.add_parser("simulate", help="draw a synthetic study CSV")
+    p.add_argument("--seed", type=int, default=None,
+                   help="generator seed (default: LOGITBOOT_SEED or 0)")
     p.add_argument("--coefficients", required=True,
                    help="generating values: Intercept,Age,Emp,Gender")
     p.add_argument("--n", type=int, required=True)
@@ -515,62 +476,57 @@ def build_parser() -> argparse.ArgumentParser:
                    help="P(Emp = 1), the unemployment rate")
     p.add_argument("--p-gender", type=float, default=0.5,
                    help="P(Gender = 1), the female rate")
-    p.add_argument("--seed", type=int, default=None,
-                   help="generator seed (default: LOGITBOOT_SEED or 0)")
     p.add_argument("--out", required=True, help="CSV destination")
     p.set_defaults(handler=_cmd_simulate)
 
     return parser
 
 
+def _error(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if hasattr(args, "seed"):
+    args = build_parser().parse_args(argv)
+    # Both environment defaults are read before the handler runs.  A bad one
+    # fails the run (the seed's message first), while the manifest still
+    # records whichever of the two could be read.
+    failure = None
+    if hasattr(args, "seed"):
+        try:
             args.seed = _resolve_seed(args.seed)
-        manifest = {
-            "subcommand": args.subcommand,
-            "version": __version__,
-            "timestamp": _timestamp(),
-            "config": _config_echo(args),
-        }
-        if hasattr(args, "input"):
-            manifest["input"] = args.input
+        except DomainError as exc:
+            failure = exc
+    try:
+        stamp = _timestamp()
+    except DomainError as exc:
+        stamp, failure = None, failure or exc
+    manifest = {
+        "subcommand": args.subcommand,
+        "version": __version__,
+        "timestamp": stamp,
+        "config": _config_echo(args),
+    }
+    if hasattr(args, "input"):
+        manifest["input"] = args.input
+    try:
+        if failure is not None:
+            raise failure
         payload, code = args.handler(args)
     except DegenerateResponseError as exc:
-        return _fail(args, exc, EXIT_DEGENERATE)
+        payload, code = _error(exc), EXIT_DEGENERATE
     except (
         SeparationError,
         NotConvergedError,
         InsufficientReplicatesError,
         ResamplingInstabilityError,
     ) as exc:
-        return _fail(args, exc, EXIT_NUMERICAL)
+        payload, code = _error(exc), EXIT_NUMERICAL
     except (OSError, ParseError, SchemaError) as exc:
-        return _fail(args, exc, EXIT_IO)
+        payload, code = _error(exc), EXIT_IO
     except (DomainError, UnknownPredictorError) as exc:
-        return _fail(args, exc, EXIT_USAGE)
-    document = {"manifest": manifest, **payload}
-    print(json.dumps(document, indent=2))
-    return code
-
-
-def _fail(args, exc: Exception, code: int) -> int:
-    try:
-        stamp = _timestamp()
-    except DomainError:
-        stamp = None
-    document = {
-        "manifest": {
-            "subcommand": getattr(args, "subcommand", None),
-            "version": __version__,
-            "timestamp": stamp,
-            "config": _config_echo(args),
-        },
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    print(json.dumps(document, indent=2))
+        payload, code = _error(exc), EXIT_USAGE
+    print(json.dumps({"manifest": manifest, **payload}, indent=2))
     return code
 
 

@@ -43,7 +43,7 @@ class ObservationRecord:
     hiv: int
 
     def __post_init__(self):
-        if not np.isfinite(self.age) or not (AGE_MIN <= self.age <= AGE_MAX):
+        if not (AGE_MIN <= self.age <= AGE_MAX):
             raise DomainError(f"age must lie in [{AGE_MIN:g}, {AGE_MAX:g}]")
         for name in ("gender", "employment", "hiv"):
             if getattr(self, name) not in (0, 1):

@@ -164,11 +164,7 @@ def _refit(
 ) -> np.ndarray | None:
     """Coefficients refitted on the rows of ``data`` indexed by ``rows``, or
     None when that subset is single-class, separates, or does not converge."""
-    response = data.response[rows]
-    total = response.sum()
-    if total == 0 or total == response.size:
-        return None
-    sub = EncodedDataset(data.design[rows], response, data.column_names)
+    sub = EncodedDataset(data.design[rows], data.response[rows], data.column_names)
     try:
         fit = fit_mle(sub, config)
     except (DegenerateResponseError, SeparationError):

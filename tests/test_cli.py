@@ -76,6 +76,7 @@ class TestManifest:
         assert code == 4
         doc = json.loads(out)
         assert doc["manifest"]["subcommand"] == "fit"
+        assert doc["manifest"]["input"] == "/nonexistent/file.csv"
         assert doc["error"]["type"] == "FileNotFoundError"
 
 
@@ -226,6 +227,31 @@ class TestSplitValidateCurves:
         code, out, _ = run_cli("curves", "--coefficients", GOLDEN_FLAG,
                                "--format", "csv")
         assert code == 1
+
+    @pytest.mark.parametrize("args, fit_coefficient, code, error", [
+        (("--fit-json",), '"abc"', 4, "SchemaError"),
+        (("--fit-json",), "NaN", 1, "DomainError"),
+        (("--coefficients", "1,2,3,nan"), None, 1, "DomainError"),
+        (("--coefficients", GOLDEN_FLAG, "--age-from", "nan"), None, 1,
+         "DomainError"),
+        (("--coefficients", GOLDEN_FLAG, "--age-step", "inf"), None, 1,
+         "DomainError"),
+    ])
+    def test_curves_bad_numbers_give_error_documents(
+        self, tmp_path, args, fit_coefficient, code, error
+    ):
+        if fit_coefficient is not None:
+            fit_path = tmp_path / "fit.json"
+            fit_path.write_text(
+                '{"columns": ["Intercept", "Age", "Emp", "Gender"], "coefficients": '
+                f'{{"Intercept": 1.5, "Age": {fit_coefficient}, "Emp": 1.6, "Gender": 0.1}}}}'
+            )
+            args = (*args, str(fit_path))
+        got, out, err = run_cli("curves", *args)
+        assert (got, "Traceback" in err) == (code, False), err
+        # Strict JSON: a NaN or Infinity token would fail to parse.
+        doc = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+        assert doc["error"]["type"] == error
 
 
 class TestExitCodes:

@@ -39,6 +39,10 @@ class TestObservationRecord:
         with pytest.raises(DomainError):
             ObservationRecord(age=float("nan"), gender=0, employment=0, hiv=0)
         with pytest.raises(DomainError):
+            ObservationRecord(age=float("inf"), gender=0, employment=0, hiv=0)
+        with pytest.raises(DomainError):
+            ObservationRecord(age=-float("inf"), gender=0, employment=0, hiv=0)
+        with pytest.raises(DomainError):
             ObservationRecord(age=25.0, gender=2, employment=0, hiv=0)
         with pytest.raises(DomainError):
             ObservationRecord(age=25.0, gender=0, employment=-1, hiv=0)
