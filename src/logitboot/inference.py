@@ -11,6 +11,14 @@ can be regenerated bit for bit on its own:
 :func:`resample_indices` exposes exactly that recipe so external code can
 regenerate any replicate's rows without rerunning the bootstrap.
 
+Refits run through the stacked Newton kernel of :mod:`logitboot.model_core`
+a chunk at a time: the rows of ``CHUNK_BYTES // (8 n p)`` resamples (at
+least one) are gathered into one ``[chunk, n, p]`` design and fitted
+together, and the jackknife's leave-one-out refits likewise.  Each refit's
+coefficients are bit-identical to :func:`~logitboot.model_core.fit_mle` on
+its rows alone, so neither the chunk length nor a replicate's neighbours
+change any result.
+
 Replicates whose refit degenerates (single-class resample), separates, or
 fails to converge are dropped and counted; intervals are computed from the
 survivors.  Quantiles of the replicate distribution use linear
@@ -23,19 +31,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    DegenerateResponseError,
     DomainError,
     InsufficientReplicatesError,
     NotConvergedError,
     ResamplingInstabilityError,
-    SeparationError,
     UnknownPredictorError,
 )
-from .model_core import EncodedDataset, FitConfig, FitResult, fit_mle
+from .model_core import (
+    CONVERGED,
+    EncodedDataset,
+    FitConfig,
+    FitResult,
+    _fit_batch,
+    fit_mle,
+)
+
+# Refits are stacked this many bytes of gathered design at a time: 20
+# resamples of a 400 x 4 design, one of a 20 000-row design.  At n = 400 a
+# 1000-replicate bootstrap took 0.77 s one resample at a time, 0.25 s at 20
+# and 0.23 s at 80 (2-core x86 host); larger stacks mostly add memory.
+CHUNK_BYTES = 256 * 1024
 
 MIN_PERCENTILE_REPLICATES = 100
 MIN_BCA_REPLICATES = 1000
@@ -159,17 +179,29 @@ def resample_indices(master_seed: int, replicate: int, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _refit(
-    data: EncodedDataset, rows: np.ndarray, config: FitConfig | None
-) -> np.ndarray | None:
-    """Coefficients refitted on the rows of ``data`` indexed by ``rows``, or
-    None when that subset is single-class, separates, or does not converge."""
-    sub = EncodedDataset(data.design[rows], data.response[rows], data.column_names)
-    try:
-        fit = fit_mle(sub, config)
-    except (DegenerateResponseError, SeparationError):
-        return None
-    return fit.coefficients if fit.converged else None
+def _refit_all(
+    data: EncodedDataset,
+    config: FitConfig | None,
+    count: int,
+    rows_of: Callable[[int], np.ndarray],
+) -> tuple[list[int], np.ndarray]:
+    """Refit on the rows ``rows_of(k)`` of ``data`` for every ``k < count``.
+
+    Refits run ``CHUNK_BYTES`` of gathered design at a time through the
+    stacked kernel.  Returns the ``k`` of the refits that converged, in
+    order, and their coefficient rows; refits on a single-class subset,
+    separated or singular ones and those out of iterations are left out.
+    """
+    chunk = max(1, CHUNK_BYTES // (8 * data.n_observations * data.n_parameters))
+    ids, kept = [], []
+    for lo in range(0, count, chunk):
+        block = range(lo, min(lo + chunk, count))
+        rows = np.stack([rows_of(k) for k in block])
+        batch = _fit_batch(data.design[rows], data.response[rows], config)
+        ok = batch.status == CONVERGED
+        ids.extend(k for k, good in zip(block, ok) if good)
+        kept.append(batch.coefficients[ok])
+    return ids, np.concatenate(kept)
 
 
 def bootstrap_fit(
@@ -184,7 +216,8 @@ def bootstrap_fit(
     Fits the full dataset first (propagating any failure), then refits each
     of ``replicates`` resamples.  Replicates that degenerate, separate, or
     fail to converge are dropped and counted via ``result.dropped``.
-    Replicates run serially in replicate order.  ``workers`` is accepted
+    Replicates run serially in one thread, in chunks of consecutive
+    replicate ids through the stacked kernel.  ``workers`` is accepted
     and validated (it must be at least 1) but has no effect on scheduling
     or results.
 
@@ -199,19 +232,15 @@ def bootstrap_fit(
         raise DomainError("workers must be at least 1")
     original = fit_mle(data, config)
     n = data.n_observations
-    outcomes = [
-        _refit(data, resample_indices(master_seed, b, n), config)
-        for b in range(replicates)
-    ]
-    ids = [b for b, coef in enumerate(outcomes) if coef is not None]
-    kept = [outcomes[b] for b in ids]
-    if len(kept) < MIN_SURVIVING_FRACTION * replicates:
+    ids, kept = _refit_all(
+        data, config, replicates, lambda b: resample_indices(master_seed, b, n)
+    )
+    if len(ids) < MIN_SURVIVING_FRACTION * replicates:
         raise ResamplingInstabilityError(
-            f"only {len(kept)} of {replicates} bootstrap replicates converged"
+            f"only {len(ids)} of {replicates} bootstrap replicates converged"
         )
-    matrix = np.array(kept, dtype=float).reshape(len(kept), data.n_parameters)
     return BootstrapResult(
-        replicates=matrix,
+        replicates=kept,
         replicate_ids=np.array(ids, dtype=np.int64),
         requested=replicates,
         master_seed=master_seed,
@@ -302,13 +331,13 @@ def jackknife_estimates(
     Rows whose refit fails or does not converge are omitted.
     """
     n = data.n_observations
-    refits = (_refit(data, np.delete(np.arange(n), i), config) for i in range(n))
-    keep_rows = [coef for coef in refits if coef is not None]
-    if len(keep_rows) < 2:
+    every_row = np.arange(n)
+    _, kept = _refit_all(data, config, n, lambda i: np.delete(every_row, i))
+    if len(kept) < 2:
         raise InsufficientReplicatesError(
             "fewer than two leave-one-out refits succeeded"
         )
-    return np.array(keep_rows, dtype=float)
+    return kept
 
 
 def acceleration_from_jackknife(values: np.ndarray) -> float:

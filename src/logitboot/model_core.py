@@ -18,6 +18,19 @@ The information is eigendecomposed once per iterate.  That one factor gives
 the conditioning guard lambda_max / lambda_min (a lambda_min that is not
 positive counts as singular), the Newton step and the final covariance.
 
+Every fit runs through one Newton kernel, ``_fit_batch``, which iterates a
+stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once and
+tracks convergence, step-halving and failure per slice with masks.
+:func:`fit_mle` is its ``B = 1`` case; the bootstrap and the jackknife hand
+it a chunk of refits at a time.  Each slice's result is bit-identical to
+fitting that slice alone, whatever else is in the stack, because every
+per-slice product is the stacked form of the 2-d one and so runs the same
+BLAS or LAPACK routine: a matrix-vector ``matmul`` for ``X @ theta`` and the
+score, a ``(1, n) @ (n, 1)`` dot for ``y . eta``, a row-wise pairwise sum
+for ``sum ln(1 + exp(eta))``, ``X' (X w)`` and ``eigh``.  Forms that sum in
+another order (``einsum``, a weighted ``bincount``, an elementwise product
+summed) differ in the last bits and would break that.
+
 Numerical policy: probabilities never exponentiate a large positive
 argument.  ``sigmoid`` branches on the sign of its argument, and
 ``ln(1 + exp(t))`` is computed as ``max(t, 0) + log1p(exp(-|t|))``.
@@ -26,6 +39,7 @@ argument.  ``sigmoid`` branches on the sign of its argument, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,7 +137,8 @@ class FitConfig:
     """Solver knobs for :func:`fit_mle`.
 
     ``tolerance`` bounds the largest absolute score component at
-    convergence.  ``initial_coefficients`` defaults to the zero vector.
+    convergence; it must be positive and finite.  ``initial_coefficients``
+    defaults to the zero vector.
     """
 
     max_iterations: int = 25
@@ -133,8 +148,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-        if not (self.tolerance > 0.0):
-            raise DomainError("tolerance must be positive")
+        if not (0.0 < self.tolerance < np.inf):
+            raise DomainError("tolerance must be positive and finite")
         if self.initial_coefficients is not None:
             start = tuple(float(v) for v in self.initial_coefficients)
             if not all(np.isfinite(start)):
@@ -202,8 +217,17 @@ def _log1pexp(eta: np.ndarray) -> np.ndarray:
     return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
 
 
-def _log_likelihood_at(y: np.ndarray, eta: np.ndarray) -> float:
-    return float(y @ eta - _log1pexp(eta).sum())
+def _eta(designs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # X @ theta per slice as a matrix-vector product, the routine a 2-d
+    # design @ theta uses.
+    return np.matmul(designs, theta[..., None])[..., 0]
+
+
+def _log_likelihood_at(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    # y . eta as a (1, n) @ (n, 1) product, the dot routine of a 1-d
+    # y @ eta, and a row-wise sum of ln(1 + exp(eta)).
+    y_eta = np.matmul(y[..., None, :], eta[..., None])[..., 0, 0]
+    return y_eta - _log1pexp(eta).sum(axis=-1)
 
 
 def sigmoid(eta):
@@ -274,7 +298,7 @@ def log_likelihood(coefficients, data: EncodedDataset) -> float:
     probabilities ``H_i^y_i (1 - H_i)^(1 - y_i)``.
     """
     theta = _check_theta(coefficients, data)
-    return _log_likelihood_at(data.response, data.design @ theta)
+    return float(_log_likelihood_at(data.response, data.design @ theta))
 
 
 def score(coefficients, data: EncodedDataset) -> np.ndarray:
@@ -295,24 +319,155 @@ def observed_information(coefficients, data: EncodedDataset) -> np.ndarray:
 
 
 def _information_from_probs(design: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # X' W X for one design or a stack of them.
     w = h * (1.0 - h)
-    info = design.T @ (design * w[:, None])
+    info = np.matmul(design.swapaxes(-1, -2), design * w[..., None])
     # Symmetrize to wash out last-bit asymmetry from the matmul.
-    return (info + info.T) * 0.5
+    return (info + info.swapaxes(-1, -2)) * 0.5
 
 
-def _information_eigen(
-    design: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    lam, vec = np.linalg.eigh(_information_from_probs(design, h))
-    # Eigenvalues come in ascending order.  The comparison is False when
-    # lam[0] is zero, negative or NaN, so those count as singular too.
-    if not lam[0] * CONDITION_LIMIT > lam[-1]:
-        raise SeparationError(
-            "information matrix is numerically singular "
-            f"(condition estimate exceeds {CONDITION_LIMIT:.0e})"
-        )
-    return lam, vec
+# Per-slice outcomes of _fit_batch.
+CONVERGED, NOT_CONVERGED, SINGLE_CLASS, SINGULAR, UNBOUNDED = range(5)
+
+# The exception fit_mle raises for each failed outcome.
+_FAILURES = {
+    SINGLE_CLASS: (
+        DegenerateResponseError,
+        "response contains a single class; the MLE is not finite",
+    ),
+    SINGULAR: (
+        SeparationError,
+        "information matrix is numerically singular "
+        f"(condition estimate exceeds {CONDITION_LIMIT:.0e})",
+    ),
+    UNBOUNDED: (
+        SeparationError,
+        f"coefficient magnitude exceeded {COEFFICIENT_BOUND:g}; "
+        "the data are separated and the MLE is not finite",
+    ),
+}
+
+
+class _Batch(NamedTuple):
+    """Per-slice results of :func:`_fit_batch`, in the order of its stack.
+
+    ``eigenvalues`` (ascending) and ``eigenvectors`` factor the information
+    at the final iterate of a converged or not-converged slice.
+    """
+
+    coefficients: np.ndarray  # (B, p)
+    log_likelihood: np.ndarray  # (B,)
+    iterations: np.ndarray  # (B,)
+    status: np.ndarray  # (B,) of CONVERGED ... UNBOUNDED
+    eigenvalues: np.ndarray  # (B, p)
+    eigenvectors: np.ndarray  # (B, p, p)
+
+
+def _rows(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    # The slices selected by mask; the stack itself, not a copy, when all are.
+    return stack if mask.all() else stack[mask]
+
+
+def _fit_batch(
+    designs: np.ndarray, responses: np.ndarray, config: FitConfig | None = None
+) -> _Batch:
+    """Newton-Raphson on a stack of problems ``designs[B, n, p]``,
+    ``responses[B, n]``, all slices at once.
+
+    Each slice follows exactly the iteration :func:`fit_mle` documents, and
+    its results are bit-identical to fitting that slice alone (see the
+    module docstring).  Slices leave the live set when they converge, spend
+    the iteration budget, turn out singular or cross ``COEFFICIENT_BOUND``;
+    the live arrays are compacted only then, so a stack whose slices all
+    stay live, a single problem in particular, is never copied.
+    """
+    if config is None:
+        config = FitConfig()
+    count, n, width = designs.shape
+    theta = np.zeros((count, width))
+    if config.initial_coefficients is not None:
+        start = np.array(config.initial_coefficients, dtype=float)
+        if start.shape != (width,):
+            raise DimensionMismatchError(
+                f"expected {width} initial coefficients, got {start.shape[0]}"
+            )
+        theta[:] = start
+    out = _Batch(
+        coefficients=theta.copy(),
+        log_likelihood=np.full(count, np.nan),
+        iterations=np.zeros(count, dtype=np.int64),
+        status=np.full(count, SINGLE_CLASS),
+        eigenvalues=np.full((count, width), np.nan),
+        eigenvectors=np.full((count, width, width), np.nan),
+    )
+    positives = responses.sum(axis=1)
+    live = (positives > 0) & (positives < n)
+    # slots maps each live slice to its place in the stack.
+    slots = np.flatnonzero(live)
+    X, y, theta = _rows(designs, live), _rows(responses, live), theta[live]
+    eta = _eta(X, theta)
+    loglik = _log_likelihood_at(y, eta)
+    iterations = 0
+
+    def finish(done, status):
+        # Record the slices marked done; the mask of the others is returned.
+        at = slots[done]
+        out.coefficients[at] = theta[done]
+        out.log_likelihood[at] = loglik[done]
+        out.iterations[at] = iterations
+        out.status[at] = status
+        out.eigenvalues[at] = lam[done]
+        out.eigenvectors[at] = vec[done]
+        return ~done
+
+    while slots.size:
+        h = _sigmoid_core(eta)
+        grad = np.matmul(X.swapaxes(1, 2), (y - h)[..., None])[..., 0]
+        lam, vec = np.linalg.eigh(_information_from_probs(X, h))
+        # Eigenvalues come in ascending order.  The comparison is False when
+        # lambda_min is zero, negative or NaN, so those count as singular too.
+        singular = ~(lam[:, 0] * CONDITION_LIMIT > lam[:, -1])
+        converged = np.abs(grad).max(axis=1) <= config.tolerance
+        done = singular | converged | (iterations >= config.max_iterations)
+        if done.any():
+            status = np.where(
+                singular, SINGULAR, np.where(converged, CONVERGED, NOT_CONVERGED)
+            )
+            keep = finish(done, status[done])
+            slots, X, y, theta, eta, loglik, grad, lam, vec = (
+                a[keep] for a in (slots, X, y, theta, eta, loglik, grad, lam, vec)
+            )
+            if not slots.size:
+                break
+        ratios = np.matmul(vec.swapaxes(1, 2), grad[..., None]) / lam[..., None]
+        step = np.matmul(vec, ratios)[..., 0]
+        candidate = theta + step
+        cand_eta = _eta(X, candidate)
+        cand_loglik = _log_likelihood_at(y, cand_eta)
+        # Halve only on decreases beyond the rounding noise of the
+        # log-likelihood; reacting to one-ulp regressions near the optimum
+        # would defeat Newton's quadratic tail.
+        slack = 8.0 * np.finfo(float).eps * (1.0 + np.abs(loglik))
+        short = cand_loglik < loglik - slack
+        # A slice whose candidate is accepted stays accepted, so every slice
+        # still short has been halved `halvings` times.
+        halvings = 0
+        while short.any() and halvings < MAX_STEP_HALVINGS:
+            step[short] = 0.5 * step[short]
+            candidate[short] = theta[short] + step[short]
+            cand_eta[short] = _eta(_rows(X, short), candidate[short])
+            cand_loglik[short] = _log_likelihood_at(_rows(y, short), cand_eta[short])
+            short = cand_loglik < loglik - slack
+            halvings += 1
+        theta, eta, loglik = candidate, cand_eta, cand_loglik
+        iterations += 1
+        unbounded = np.abs(theta).max(axis=1) > COEFFICIENT_BOUND
+        if unbounded.any():
+            keep = finish(unbounded, UNBOUNDED)
+            slots, X, y, theta, eta, loglik = (
+                a[keep] for a in (slots, X, y, theta, eta, loglik)
+            )
+    return out
 
 
 def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
@@ -326,6 +481,8 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
 
     The information is eigendecomposed once per iterate, the first and the
     last included; the covariance comes from the final iterate's factor.
+    This is the one-problem case of the stacked kernel the bootstrap and
+    the jackknife refit with.
 
     Raises
     ------
@@ -336,68 +493,23 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
         information matrix has lambda_max / lambda_min above
         ``CONDITION_LIMIT`` or a lambda_min that is not positive.
     """
-    if config is None:
-        config = FitConfig()
-    y = data.response
-    positives = y.sum()
-    if positives == 0 or positives == y.size:
-        raise DegenerateResponseError(
-            "response contains a single class; the MLE is not finite"
-        )
-    width = data.n_parameters
-    if config.initial_coefficients is not None:
-        theta = np.array(config.initial_coefficients, dtype=float)
-        if theta.shape != (width,):
-            raise DimensionMismatchError(
-                f"expected {width} initial coefficients, got {theta.shape[0]}"
-            )
-    else:
-        theta = np.zeros(width)
-
-    design = data.design
-    eta = design @ theta
-    loglik = _log_likelihood_at(y, eta)
-    iterations = 0
-    while True:
-        h = _sigmoid_core(eta)
-        grad = design.T @ (y - h)
-        lam, vec = _information_eigen(design, h)
-        converged = bool(np.max(np.abs(grad)) <= config.tolerance)
-        if converged or iterations >= config.max_iterations:
-            break
-        step = vec @ ((vec.T @ grad) / lam)
-        candidate = theta + step
-        cand_eta = design @ candidate
-        cand_loglik = _log_likelihood_at(y, cand_eta)
-        halvings = 0
-        # Halve only on decreases beyond the rounding noise of the
-        # log-likelihood; reacting to one-ulp regressions near the optimum
-        # would defeat Newton's quadratic tail.
-        slack = 8.0 * np.finfo(float).eps * (1.0 + abs(loglik))
-        while cand_loglik < loglik - slack and halvings < MAX_STEP_HALVINGS:
-            step = 0.5 * step
-            candidate = theta + step
-            cand_eta = design @ candidate
-            cand_loglik = _log_likelihood_at(y, cand_eta)
-            halvings += 1
-        theta, eta, loglik = candidate, cand_eta, cand_loglik
-        iterations += 1
-        if np.max(np.abs(theta)) > COEFFICIENT_BOUND:
-            raise SeparationError(
-                f"coefficient magnitude exceeded {COEFFICIENT_BOUND:g}; "
-                "the data are separated and the MLE is not finite"
-            )
-
+    batch = _fit_batch(data.design[None], data.response[None], config)
+    status = int(batch.status[0])
+    if status in _FAILURES:
+        error, message = _FAILURES[status]
+        raise error(message)
+    lam, vec = batch.eigenvalues[0], batch.eigenvectors[0]
     covariance = (vec / lam) @ vec.T
     covariance = (covariance + covariance.T) * 0.5
+    loglik = float(batch.log_likelihood[0])
     return FitResult(
-        coefficients=theta,
+        coefficients=batch.coefficients[0],
         standard_errors=np.sqrt(np.diag(covariance)),
         covariance=covariance,
         log_likelihood=loglik,
         deviance=-2.0 * loglik,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(batch.iterations[0]),
+        converged=status == CONVERGED,
         column_names=data.column_names,
     )
 

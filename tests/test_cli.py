@@ -261,6 +261,14 @@ class TestExitCodes:
         assert run_cli("fit", "--input", study_csv, "--unknown-flag")[0] == 1
         assert run_cli("split", "--input", study_csv, "--sizes", "200,100")[0] == 1
 
+    def test_infinite_tolerance_is_usage_error(self, study_csv):
+        # Any start would pass an infinite score tolerance at iteration 0.
+        code, out, _ = run_cli("fit", "--input", study_csv, "--tol", "inf")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"]["type"] == "DomainError"
+        assert doc["manifest"]["config"]["tol"] == "inf"
+
     def test_degenerate_response_exit(self, tmp_path):
         path = tmp_path / "all_pos.csv"
         rows = "\n".join(f"{20 + i},0,0,1" for i in range(10))

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import logitboot.inference
 from logitboot import (
     BootstrapResult,
+    DegenerateResponseError,
     DomainError,
     EncodedDataset,
     FitConfig,
     InsufficientReplicatesError,
     NotConvergedError,
     ResamplingInstabilityError,
+    SeparationError,
     UnknownPredictorError,
     acceleration_from_jackknife,
     bca_ci,
@@ -168,6 +171,70 @@ class TestBootstrapFit:
             bootstrap_fit(study, replicates=0)
         with pytest.raises(DomainError):
             bootstrap_fit(study, replicates=10, workers=0)
+
+
+def single_refit(data, rows, config=None):
+    """Coefficients of fit_mle on the given rows alone, or None when that
+    refit is single-class, separated, singular or out of iterations."""
+    sub = EncodedDataset(data.design[rows], data.response[rows])
+    try:
+        fit = fit_mle(sub, config)
+    except (DegenerateResponseError, SeparationError):
+        return None
+    return fit.coefficients if fit.converged else None
+
+
+def golden_study(n, seed):
+    spec = SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=n, seed=seed)
+    return encode(simulate(spec))
+
+
+class TestStackedRefits:
+    """Chunked refits keep exactly the outcomes of one fit_mle per refit."""
+
+    def assert_bootstrap_contract(self, data, config, replicates, master_seed):
+        result = bootstrap_fit(data, config, replicates, master_seed)
+        kept = dict(zip(result.replicate_ids.tolist(), result.replicates))
+        for b in range(replicates):
+            rows = resample_indices(master_seed, b, data.n_observations)
+            alone = single_refit(data, rows, config)
+            assert (b in kept) == (alone is not None), b
+            if alone is not None:
+                assert kept[b].tobytes() == alone.tobytes(), b
+        return result
+
+    def test_bootstrap_every_id_across_chunk_boundaries(self):
+        # 256 KiB holds 20 resamples of a 400 x 4 design: 67 replicates make
+        # three full chunks and a partial fourth.
+        self.assert_bootstrap_contract(golden_study(400, 7), None, 67, 5)
+
+    def test_bootstrap_quasi_separated_study(self):
+        result = self.assert_bootstrap_contract(golden_study(30, 3), None, 300, 11)
+        assert result.converged == 224
+        assert 210 not in result.replicate_ids
+
+    def test_bootstrap_from_initial_coefficients(self):
+        data = golden_study(400, 7)
+        start = FitConfig(initial_coefficients=(1.0, -0.05, 1.0, 0.0))
+        self.assert_bootstrap_contract(data, start, 45, 8)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_results_do_not_depend_on_chunk_length(self, monkeypatch, chunk):
+        data = golden_study(30, 3)
+        reference = bootstrap_fit(data, replicates=300, master_seed=11)
+        jackknife = jackknife_estimates(data)
+        monkeypatch.setattr(logitboot.inference, "CHUNK_BYTES", chunk * 8 * 30 * 4)
+        result = bootstrap_fit(data, replicates=300, master_seed=11)
+        assert result.replicate_ids.tobytes() == reference.replicate_ids.tobytes()
+        assert result.replicates.tobytes() == reference.replicates.tobytes()
+        assert jackknife_estimates(data).tobytes() == jackknife.tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(30, 3), (400, 7)])
+    def test_jackknife_matches_leave_one_out_fits(self, n, seed):
+        data = golden_study(n, seed)
+        alone = [single_refit(data, np.delete(np.arange(n), i)) for i in range(n)]
+        expected = np.array([c for c in alone if c is not None])
+        assert jackknife_estimates(data).tobytes() == expected.tobytes()
 
 
 class TestWaldCI:

@@ -22,7 +22,17 @@ from logitboot import (
     logit,
     observed_information,
     score,
+    resample_indices,
     sigmoid,
+)
+from logitboot.data_io import SimulationSpec, encode, simulate
+from logitboot.model_core import (
+    CONVERGED,
+    NOT_CONVERGED,
+    SINGLE_CLASS,
+    SINGULAR,
+    UNBOUNDED,
+    _fit_batch,
 )
 
 from conftest import GOLDEN_COEFFICIENTS, fd_gradient, random_dataset
@@ -363,11 +373,81 @@ class TestFitMLE:
     def test_bad_config_rejected(self):
         with pytest.raises(DomainError):
             FitConfig(max_iterations=0)
-        with pytest.raises(DomainError):
-            FitConfig(tolerance=0.0)
+        # An infinite tolerance would call any start converged.
+        for tolerance in (0.0, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                FitConfig(tolerance=tolerance)
         data, _ = random_dataset(seed=98, n=30, k=1)
         with pytest.raises(DimensionMismatchError):
             fit_mle(data, FitConfig(initial_coefficients=(0.0,)))
+
+
+def mixed_chunk():
+    """Ten 30-row problems whose fits end in every way a fit can end.
+
+    In order: the study itself; a single-class response; Age shrunk a
+    thousandfold and split at its median (separated, with a first step
+    already past ``COEFFICIENT_BOUND``); Gender replaced by Emp (singular
+    information); each covariate row twice, once per class (the score is
+    exactly 0 at the zero start); then bootstrap resamples 3, 16, 93, 143
+    and 210 of master seed 11.  Resamples 16, 93, 143 and 210 halve steps
+    on different iterations, and 210 runs out of iterations.
+    """
+    study = encode(
+        simulate(SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=30, seed=3))
+    )
+    design, response = study.design, study.response
+    tiny_age = design.copy()
+    tiny_age[:, 1] *= 1e-3
+    older = (design[:, 1] > np.median(design[:, 1])).astype(float)
+    collinear = design.copy()
+    collinear[:, 3] = collinear[:, 2]
+    k = np.arange(15)
+    rows = np.column_stack([np.ones(15), k % 5, k % 2, (k // 3) % 2])
+    problems = [
+        (design, response),
+        (design, np.ones(30)),
+        (tiny_age, older),
+        (collinear, response),
+        (np.repeat(rows, 2, axis=0), np.tile([1.0, 0.0], 15)),
+    ]
+    for b in (3, 16, 93, 143, 210):
+        idx = resample_indices(11, b, 30)
+        problems.append((design[idx], response[idx]))
+    return np.stack([d for d, _ in problems]), np.stack([r for _, r in problems])
+
+
+class TestFitBatch:
+    """The stacked kernel against :func:`fit_mle` on each slice alone."""
+
+    @pytest.mark.parametrize("config, expected", [
+        (FitConfig(), [CONVERGED, SINGLE_CLASS, UNBOUNDED, SINGULAR]
+         + [CONVERGED] * 5 + [NOT_CONVERGED]),
+        (FitConfig(max_iterations=1), [NOT_CONVERGED, SINGLE_CLASS, UNBOUNDED,
+                                       SINGULAR, CONVERGED] + [NOT_CONVERGED] * 5),
+    ])
+    def test_mixed_outcomes_match_single_fits(self, config, expected):
+        designs, responses = mixed_chunk()
+        forward = np.arange(len(designs))
+        # Reversing the stack changes which live slices sit around the
+        # ones that retire, halve or get compacted away.
+        for order in (forward, forward[::-1]):
+            batch = _fit_batch(designs[order], responses[order], config)
+            assert batch.status.tolist() == [expected[k] for k in order]
+            for slot, k in enumerate(order):
+                status = batch.status[slot]
+                try:
+                    fit = fit_mle(EncodedDataset(designs[k], responses[k]), config)
+                except DegenerateResponseError:
+                    assert status == SINGLE_CLASS
+                    continue
+                except SeparationError as exc:
+                    assert status == (SINGULAR if "singular" in str(exc) else UNBOUNDED)
+                    continue
+                assert status == (CONVERGED if fit.converged else NOT_CONVERGED)
+                assert batch.coefficients[slot].tobytes() == fit.coefficients.tobytes()
+                assert batch.iterations[slot] == fit.iterations
+                assert batch.log_likelihood[slot] == fit.log_likelihood
 
 
 class TestDevianceResiduals:
