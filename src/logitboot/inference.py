@@ -390,7 +390,15 @@ def bca_ci(
     the interval then carries percentile bounds and ``fallback=True``.
 
     ``bias_correction`` and ``acceleration`` override the estimated values
-    when given (useful for sensitivity checks).
+    when given (useful for sensitivity checks).  With ``acceleration=None``
+    every call reruns all ``n`` leave-one-out refits, so intervals for all
+    ``p`` coefficients cost ``p`` jackknifes.  Run the jackknife once and
+    pass each coefficient's acceleration instead::
+
+        loo = jackknife_estimates(data, config)
+        for j in range(loo.shape[1]):
+            a = acceleration_from_jackknife(loo[:, j])
+            bca_ci(result, data, config, j, acceleration=a)
 
     Raises
     ------

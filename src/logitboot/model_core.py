@@ -19,8 +19,9 @@ the conditioning guard lambda_max / lambda_min (a lambda_min that is not
 positive counts as singular), the Newton step and the final covariance.
 
 Every fit runs through one Newton kernel, ``_fit_batch``, which iterates a
-stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once and
-tracks convergence, step-halving and failure per slice with masks.
+stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once,
+halving steps per slice with masks and retiring slices by one status
+decision per iterate.
 :func:`fit_mle` is its ``B = 1`` case; the bootstrap and the jackknife hand
 it a chunk of refits at a time.  Each slice's result is bit-identical to
 fitting that slice alone, whatever else is in the stack, because every
@@ -32,8 +33,9 @@ another order (``einsum``, a weighted ``bincount``, an elementwise product
 summed) differ in the last bits and would break that.
 
 Numerical policy: probabilities never exponentiate a large positive
-argument.  ``sigmoid`` branches on the sign of its argument, and
-``ln(1 + exp(t))`` is computed as ``max(t, 0) + log1p(exp(-|t|))``.
+argument.  Every evaluation takes ``e = exp(-|eta|)`` once and derives
+the rest from it: the sigmoid is ``1 / (1 + e)`` for ``eta >= 0`` and
+``e / (1 + e)`` below, and ``ln(1 + exp(eta)) = max(eta, 0) + log1p(e)``.
 """
 
 from __future__ import annotations
@@ -202,32 +204,23 @@ class FitResult:
         object.__setattr__(self, "column_names", tuple(self.column_names))
 
 
-def _sigmoid_core(eta: np.ndarray) -> np.ndarray:
-    # exp() only ever sees non-positive arguments: with e = exp(-|eta|) the
-    # sigmoid is 1 / (1 + e) for eta >= 0 and e / (1 + e) below.
-    e = np.exp(-np.abs(eta))
+def _probabilities(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # Given e = exp(-|eta|) the sigmoid is 1 / (1 + e) for eta >= 0 and
+    # e / (1 + e) below, so no positive argument is exponentiated.
     out = np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     # Keep the output strictly inside (0, 1) even where exp() underflows.
     np.clip(out, _P_LO, _P_HI, out=out)
     return out
 
 
-def _log1pexp(eta: np.ndarray) -> np.ndarray:
-    # ln(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)), stable for any t.
-    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-
-
-def _eta(designs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # X @ theta per slice as a matrix-vector product, the routine a 2-d
-    # design @ theta uses.
-    return np.matmul(designs, theta[..., None])[..., 0]
-
-
-def _log_likelihood_at(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    # y . eta as a (1, n) @ (n, 1) product, the dot routine of a 1-d
-    # y @ eta, and a row-wise sum of ln(1 + exp(eta)).
+def _evaluate(designs: np.ndarray, theta: np.ndarray, y: np.ndarray):
+    # (eta, e = exp(-|eta|), log-likelihood) of one problem or a stack, by
+    # the routines of a 2-d design @ theta and a 1-d y @ eta (module
+    # docstring); ln(1 + exp(eta)) = max(eta, 0) + log1p(e) sums by row.
+    eta = np.matmul(designs, theta[..., None])[..., 0]
+    e = np.exp(-np.abs(eta))
     y_eta = np.matmul(y[..., None, :], eta[..., None])[..., 0, 0]
-    return y_eta - _log1pexp(eta).sum(axis=-1)
+    return eta, e, y_eta - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=-1)
 
 
 def sigmoid(eta):
@@ -246,7 +239,8 @@ def sigmoid(eta):
     if not np.all(np.isfinite(arr)):
         raise DomainError("sigmoid requires finite input")
     scalar = arr.ndim == 0
-    out = _sigmoid_core(np.atleast_1d(arr))
+    arr = np.atleast_1d(arr)
+    out = _probabilities(arr, np.exp(-np.abs(arr)))
     return float(out[0]) if scalar else out
 
 
@@ -298,13 +292,13 @@ def log_likelihood(coefficients, data: EncodedDataset) -> float:
     probabilities ``H_i^y_i (1 - H_i)^(1 - y_i)``.
     """
     theta = _check_theta(coefficients, data)
-    return float(_log_likelihood_at(data.response, data.design @ theta))
+    return float(_evaluate(data.design, theta, data.response)[2])
 
 
 def score(coefficients, data: EncodedDataset) -> np.ndarray:
     """Gradient of the log-likelihood: ``X' (y - H)``."""
     theta = _check_theta(coefficients, data)
-    h = _sigmoid_core(data.design @ theta)
+    h = _probabilities(*_evaluate(data.design, theta, data.response)[:2])
     return data.design.T @ (data.response - h)
 
 
@@ -314,7 +308,7 @@ def observed_information(coefficients, data: EncodedDataset) -> np.ndarray:
     Symmetric and positive semi-definite for every coefficient vector.
     """
     theta = _check_theta(coefficients, data)
-    h = _sigmoid_core(data.design @ theta)
+    h = _probabilities(*_evaluate(data.design, theta, data.response)[:2])
     return _information_from_probs(data.design, h)
 
 
@@ -351,8 +345,9 @@ _FAILURES = {
 class _Batch(NamedTuple):
     """Per-slice results of :func:`_fit_batch`, in the order of its stack.
 
-    ``eigenvalues`` (ascending) and ``eigenvectors`` factor the information
-    at the final iterate of a converged or not-converged slice.
+    Each slice records the iterate it left at, with the ``eigenvalues``
+    (ascending) and ``eigenvectors`` of the information there; for an
+    ``UNBOUNDED`` slice that is the first iterate past ``COEFFICIENT_BOUND``.
     """
 
     coefficients: np.ndarray  # (B, p)
@@ -376,10 +371,13 @@ def _fit_batch(
 
     Each slice follows exactly the iteration :func:`fit_mle` documents, and
     its results are bit-identical to fitting that slice alone (see the
-    module docstring).  Slices leave the live set when they converge, spend
-    the iteration budget, turn out singular or cross ``COEFFICIENT_BOUND``;
-    the live arrays are compacted only then, so a stack whose slices all
-    stay live, a single problem in particular, is never copied.
+    module docstring).  At the top of each iterate one decision retires
+    slices, the first match winning: ``UNBOUNDED`` (not tested at the
+    start), ``SINGULAR``, ``CONVERGED``, then ``NOT_CONVERGED`` at the
+    budget.  The live arrays are compacted only then, so a stack whose
+    slices all stay live, a single problem in particular, is never copied.
+    An iterate's ``e = exp(-|eta|)`` serves its log-likelihood and then its
+    probabilities, so each evaluated iterate costs one ``exp``.
     """
     if config is None:
         config = FitConfig()
@@ -405,45 +403,41 @@ def _fit_batch(
     # slots maps each live slice to its place in the stack.
     slots = np.flatnonzero(live)
     X, y, theta = _rows(designs, live), _rows(responses, live), theta[live]
-    eta = _eta(X, theta)
-    loglik = _log_likelihood_at(y, eta)
+    eta, e, loglik = _evaluate(X, theta, y)
     iterations = 0
-
-    def finish(done, status):
-        # Record the slices marked done; the mask of the others is returned.
-        at = slots[done]
-        out.coefficients[at] = theta[done]
-        out.log_likelihood[at] = loglik[done]
-        out.iterations[at] = iterations
-        out.status[at] = status
-        out.eigenvalues[at] = lam[done]
-        out.eigenvectors[at] = vec[done]
-        return ~done
-
     while slots.size:
-        h = _sigmoid_core(eta)
+        h = _probabilities(eta, e)
         grad = np.matmul(X.swapaxes(1, 2), (y - h)[..., None])[..., 0]
         lam, vec = np.linalg.eigh(_information_from_probs(X, h))
-        # Eigenvalues come in ascending order.  The comparison is False when
-        # lambda_min is zero, negative or NaN, so those count as singular too.
+        # The start is never held to the coefficient bound.  Eigenvalues
+        # come in ascending order; the comparison is False when lambda_min
+        # is zero, negative or NaN, so those count as singular too.
+        unbounded = (np.abs(theta).max(axis=1) > COEFFICIENT_BOUND) & (iterations > 0)
         singular = ~(lam[:, 0] * CONDITION_LIMIT > lam[:, -1])
         converged = np.abs(grad).max(axis=1) <= config.tolerance
-        done = singular | converged | (iterations >= config.max_iterations)
+        spent = iterations >= config.max_iterations
+        done = unbounded | singular | converged | spent
         if done.any():
-            status = np.where(
-                singular, SINGULAR, np.where(converged, CONVERGED, NOT_CONVERGED)
-            )
-            keep = finish(done, status[done])
-            slots, X, y, theta, eta, loglik, grad, lam, vec = (
-                a[keep] for a in (slots, X, y, theta, eta, loglik, grad, lam, vec)
+            # The first condition that holds is the slice's status.
+            fate = np.where(unbounded, UNBOUNDED, np.where(
+                singular, SINGULAR, np.where(converged, CONVERGED, NOT_CONVERGED)))
+            at = slots[done]
+            out.coefficients[at] = theta[done]
+            out.log_likelihood[at] = loglik[done]
+            out.iterations[at] = iterations
+            out.status[at] = fate[done]
+            out.eigenvalues[at] = lam[done]
+            out.eigenvectors[at] = vec[done]
+            keep = ~done
+            slots, X, y, theta, eta, e, loglik, grad, lam, vec = (
+                a[keep] for a in (slots, X, y, theta, eta, e, loglik, grad, lam, vec)
             )
             if not slots.size:
                 break
         ratios = np.matmul(vec.swapaxes(1, 2), grad[..., None]) / lam[..., None]
         step = np.matmul(vec, ratios)[..., 0]
         candidate = theta + step
-        cand_eta = _eta(X, candidate)
-        cand_loglik = _log_likelihood_at(y, cand_eta)
+        cand_eta, cand_e, cand_loglik = _evaluate(X, candidate, y)
         # Halve only on decreases beyond the rounding noise of the
         # log-likelihood; reacting to one-ulp regressions near the optimum
         # would defeat Newton's quadratic tail.
@@ -455,18 +449,13 @@ def _fit_batch(
         while short.any() and halvings < MAX_STEP_HALVINGS:
             step[short] = 0.5 * step[short]
             candidate[short] = theta[short] + step[short]
-            cand_eta[short] = _eta(_rows(X, short), candidate[short])
-            cand_loglik[short] = _log_likelihood_at(_rows(y, short), cand_eta[short])
+            cand_eta[short], cand_e[short], cand_loglik[short] = _evaluate(
+                _rows(X, short), candidate[short], _rows(y, short)
+            )
             short = cand_loglik < loglik - slack
             halvings += 1
-        theta, eta, loglik = candidate, cand_eta, cand_loglik
+        theta, eta, e, loglik = candidate, cand_eta, cand_e, cand_loglik
         iterations += 1
-        unbounded = np.abs(theta).max(axis=1) > COEFFICIENT_BOUND
-        if unbounded.any():
-            keep = finish(unbounded, UNBOUNDED)
-            slots, X, y, theta, eta, loglik = (
-                a[keep] for a in (slots, X, y, theta, eta, loglik)
-            )
     return out
 
 
@@ -528,10 +517,11 @@ def deviance_residuals(fit: FitResult, data: EncodedDataset) -> np.ndarray:
     if not fit.converged:
         raise NotConvergedError("deviance residuals require a converged fit")
     theta = _check_theta(fit.coefficients, data)
-    eta = data.design @ theta
     y = data.response
+    eta, e, _ = _evaluate(data.design, theta, y)
     # Per-observation log-likelihood in the same stable form as the total:
-    # y=1 gives -log1pexp(-eta), y=0 gives -log1pexp(eta).
-    terms = -_log1pexp(np.where(y == 1.0, -eta, eta))
-    h = _sigmoid_core(eta)
+    # y=1 gives -ln(1 + exp(-eta)), y=0 gives -ln(1 + exp(eta)), and both
+    # are max(., 0) + log1p(e) with the same e = exp(-|eta|).
+    terms = -(np.maximum(np.where(y == 1.0, -eta, eta), 0.0) + np.log1p(e))
+    h = _probabilities(eta, e)
     return np.sign(y - h) * np.sqrt(-2.0 * terms)

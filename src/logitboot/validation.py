@@ -24,7 +24,7 @@ from .model_core import (
     EncodedDataset,
     FitConfig,
     FitResult,
-    _sigmoid_core,
+    _probabilities,
     fit_mle,
 )
 
@@ -117,10 +117,11 @@ def split_sample_fit(
 ) -> SplitSampleReport:
     """Refit the model on nested prefix subsets of the data.
 
-    ``sizes`` must be strictly increasing and at most the dataset size.
-    A subset whose refit fails (single-class response, separation, or
-    non-convergence) contributes an error string instead of a fit; the
-    remaining sizes are still fitted.
+    ``sizes`` must be strictly increasing and at most the dataset size,
+    and ``shuffle_seed``, when given, non-negative.  A subset whose refit
+    fails (single-class response, separation, or non-convergence)
+    contributes an error string instead of a fit; the remaining sizes are
+    still fitted.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
@@ -131,6 +132,8 @@ def split_sample_fit(
         raise DomainError(
             f"split sizes must lie in [1, {data.n_observations}]"
         )
+    if shuffle_seed is not None and shuffle_seed < 0:
+        raise DomainError("shuffle seed must be non-negative")
     design = data.design
     response = data.response
     if shuffle_seed is not None:
@@ -184,7 +187,8 @@ def holdout_validate(
     if idx.min() < 0 or idx.max() >= data.n_observations:
         raise DomainError("test indices out of range")
 
-    probs = _sigmoid_core(data.design[idx] @ fit.coefficients)
+    eta = data.design[idx] @ fit.coefficients
+    probs = _probabilities(eta, np.exp(-np.abs(eta)))
     predicted = probs >= threshold
     actual = data.response[idx] == 1.0
     tp = int(np.count_nonzero(predicted & actual))
@@ -267,7 +271,7 @@ def probability_curves(
         for i, age in enumerate(profile.age_grid):
             row[age_j] = age
             etas[i] = fit.coefficients @ row
-        probs = _sigmoid_core(etas)
+        probs = _probabilities(etas, np.exp(-np.abs(etas)))
         points.extend(
             CurvePoint(profile=profile.name, age=float(age), probability=float(p))
             for age, p in zip(profile.age_grid, probs)

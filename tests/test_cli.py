@@ -269,6 +269,14 @@ class TestExitCodes:
         assert doc["error"]["type"] == "DomainError"
         assert doc["manifest"]["config"]["tol"] == "inf"
 
+    def test_negative_shuffle_seed_is_usage_error(self, study_csv):
+        code, out, err = run_cli("split", "--input", study_csv,
+                                 "--shuffle-seed", "-1")
+        assert (code, "Traceback" in err) == (1, False), err
+        doc = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+        assert doc["error"]["type"] == "DomainError"
+        assert doc["manifest"]["config"]["shuffle_seed"] == -1
+
     def test_degenerate_response_exit(self, tmp_path):
         path = tmp_path / "all_pos.csv"
         rows = "\n".join(f"{20 + i},0,0,1" for i in range(10))

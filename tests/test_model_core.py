@@ -27,6 +27,7 @@ from logitboot import (
 )
 from logitboot.data_io import SimulationSpec, encode, simulate
 from logitboot.model_core import (
+    COEFFICIENT_BOUND,
     CONVERGED,
     NOT_CONVERGED,
     SINGLE_CLASS,
@@ -448,6 +449,25 @@ class TestFitBatch:
                 assert batch.coefficients[slot].tobytes() == fit.coefficients.tobytes()
                 assert batch.iterations[slot] == fit.iterations
                 assert batch.log_likelihood[slot] == fit.log_likelihood
+
+
+@pytest.mark.parametrize("config", [FitConfig(), FitConfig(max_iterations=1)])
+def test_unbounded_slice_records_the_crossing_iterate(config):
+    """The separated tiny-Age slice is recorded at the first iterate past
+    the bound, which outranks the spent budget of ``max_iterations=1``."""
+    designs, responses = mixed_chunk()
+    batch = _fit_batch(designs, responses, config)
+    assert batch.status[2] == UNBOUNDED
+    data = EncodedDataset(designs[2], responses[2])
+    theta = batch.coefficients[2]
+    assert batch.iterations[2] == 1
+    assert np.abs(theta).max() > COEFFICIENT_BOUND
+    # That iterate is the full Newton step from the zero start.
+    zero = np.zeros(data.n_parameters)
+    newton = np.linalg.solve(observed_information(zero, data), score(zero, data))
+    np.testing.assert_allclose(theta, newton, rtol=1e-10)
+    assert batch.log_likelihood[2] == log_likelihood(theta, data)
+    assert batch.log_likelihood[2] > log_likelihood(zero, data)
 
 
 class TestDevianceResiduals:

@@ -77,6 +77,10 @@ class TestSplitSampleFit:
         with pytest.raises(DomainError):
             split_sample_fit(study, [0, 100])
 
+    def test_negative_shuffle_seed_rejected(self, study):
+        with pytest.raises(DomainError):
+            split_sample_fit(study, [100], shuffle_seed=-1)
+
     def test_shuffle_is_seeded_and_deterministic(self, study):
         a = split_sample_fit(study, [100], shuffle_seed=5)
         b = split_sample_fit(study, [100], shuffle_seed=5)
