@@ -30,7 +30,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .data_io import ENCODED_COLUMNS, SimulationSpec, encode, load_csv, save_csv, simulate
+from .data_io import (
+    ENCODED_COLUMNS,
+    SimulationSpec,
+    _encoded,
+    _read_columns,
+    _simulate_columns,
+    _write_csv,
+)
+# The record-level API stays importable here, where bench/tracing.py wraps
+# these names; the CLI itself works on columns and calls none of them.
+from .data_io import encode, load_csv, save_csv, simulate  # noqa: F401
 from .errors import (
     DegenerateResponseError,
     DomainError,
@@ -153,7 +163,7 @@ def _interval_json(name: str, interval) -> dict:
 
 
 def _load_dataset(path) -> EncodedDataset:
-    return encode(load_csv(path))
+    return _encoded(_read_columns(path))
 
 
 def _cmd_fit(args):
@@ -379,13 +389,12 @@ def _cmd_simulate(args):
         female_rate=args.p_gender,
         seed=args.seed,
     )
-    records = simulate(spec)
-    save_csv(records, args.out)
-    positives = sum(rec.hiv for rec in records)
+    columns = _simulate_columns(spec)
+    _write_csv(args.out, *(c.tolist() for c in columns))
     payload = {
         "output": args.out,
-        "records": len(records),
-        "positive_fraction": positives / len(records),
+        "records": spec.n,
+        "positive_fraction": int(columns.hiv.sum()) / spec.n,
     }
     return payload, EXIT_OK
 

@@ -9,6 +9,16 @@ skipped with a warning.  Parse failures cite the 1-based data-row number
 Encoding produces the fixed column order Intercept, Age, Emp, Gender with
 the HIV indicator as response, matching the coefficient order used
 throughout the package.
+
+The data path is columnar.  ``_read_columns`` reads a file with one
+``csv.reader`` pass, parses each needed column with ``float`` into an
+array and checks the rows with vector masks; on a fault, ``_row_fault``
+explains the first faulty row, and it is the one place the parse messages
+live.  ``_simulate_columns`` draws a study as columns, ``_encoded`` stacks
+columns into an :class:`EncodedDataset` and ``_write_csv`` writes them.
+The CLI uses these alone.  :class:`ObservationRecord` lists exist only at
+the public wrappers :func:`load_csv`, :func:`encode`, :func:`save_csv`,
+:func:`simulate` and :func:`decode`.
 """
 
 from __future__ import annotations
@@ -16,7 +26,9 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +39,7 @@ ENCODED_COLUMNS = ("Intercept", "Age", "Emp", "Gender")
 
 AGE_MIN = 0.0
 AGE_MAX = 130.0
+_AGE_DOMAIN = f"age must lie in [{AGE_MIN:g}, {AGE_MAX:g}]"
 
 
 @dataclass(frozen=True)
@@ -44,7 +57,7 @@ class ObservationRecord:
 
     def __post_init__(self):
         if not (AGE_MIN <= self.age <= AGE_MAX):
-            raise DomainError(f"age must lie in [{AGE_MIN:g}, {AGE_MAX:g}]")
+            raise DomainError(_AGE_DOMAIN)
         for name in ("gender", "employment", "hiv"):
             if getattr(self, name) not in (0, 1):
                 raise DomainError(f"{name} must be 0 or 1")
@@ -96,22 +109,65 @@ _COLUMN_ALIASES = {
     "hiv": "hiv",
 }
 
+_FLAGS = ("gender", "employment", "hiv")
 
-def load_csv(path) -> list[ObservationRecord]:
-    """Read observation records from a CSV file.
 
-    Header names are matched case-insensitively; ``Sex`` is accepted for
-    ``Gender``.  Columns beyond the four known ones are ignored with a
-    warning.  Row order is preserved.
+class _Columns(NamedTuple):
+    """One study as columns, in :class:`ObservationRecord` field order."""
 
-    Raises
-    ------
-    SchemaError
-        For an empty file, a missing required column, or no data rows.
-    ParseError
-        For a ragged, non-numeric, or out-of-domain cell; the message
-        cites the 1-based data-row number.
+    age: np.ndarray  # float
+    gender: np.ndarray  # 0/1
+    employment: np.ndarray  # 0/1
+    hiv: np.ndarray  # 0/1
+
+
+def _records(columns: _Columns) -> list[ObservationRecord]:
+    return list(map(ObservationRecord, *(c.tolist() for c in columns)))
+
+
+def _floats(cells, n: int) -> np.ndarray:
+    # float() is the parser the messages describe.  It ignores the padding
+    # that strip() removes, except the ASCII separators \x1c-\x1f, so a
+    # column it rejects is parsed again from stripped cells, with NaN for a
+    # non-numeric cell: NaN fails every domain mask, so its row is flagged.
+    try:
+        return np.fromiter(map(float, cells), float, count=n)
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, cells), float, count=n)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return np.nan
+
+
+def _row_fault(cells, header, positions) -> str:
+    """The message for the first fault of a data row the masks flagged.
+
+    Faults rank by field count, then non-numeric cells in header order,
+    then flags that are not 0/1 in Gender, Emp, HIV order, then the age
+    domain; a flagged row that passes the first three is out of domain.
     """
+    if len(cells) != len(header):
+        return f"expected {len(header)} fields, got {len(cells)}"
+    values = {}
+    for field, pos in positions.items():
+        cell = cells[pos].strip()
+        try:
+            values[field] = float(cell)
+        except ValueError:
+            return f"column {header[pos]!r}: {cell!r} is not numeric"
+    for field in _FLAGS:
+        if values[field] not in (0.0, 1.0):
+            pos = positions[field]
+            return f"column {header[pos]!r}: expected 0 or 1, got {cells[pos].strip()!r}"
+    return _AGE_DOMAIN
+
+
+def _read_columns(path) -> _Columns:
+    """Parse and check a CSV file as columns; see :func:`load_csv`."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = list(csv.reader(handle))
     if not rows:
@@ -126,52 +182,64 @@ def load_csv(path) -> list[ObservationRecord]:
             ignored.append(cell)
         else:
             positions[field] = pos
-    missing = [f for f in ("age", "gender", "employment", "hiv") if f not in positions]
+    missing = [f for f in _Columns._fields if f not in positions]
     if missing:
         raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
     if ignored:
+        # Attributed to the caller of load_csv or of the CLI's loader.
         warnings.warn(
             f"{path}: ignoring unrecognized column(s): {', '.join(ignored)}",
-            stacklevel=2,
+            stacklevel=3,
         )
-
-    records = []
-    for row_number, cells in enumerate(rows[1:], start=1):
-        if len(cells) != len(header):
-            raise ParseError(
-                row_number,
-                f"expected {len(header)} fields, got {len(cells)}",
-            )
-        values = {}
-        for field, pos in positions.items():
-            cell = cells[pos].strip()
-            try:
-                values[field] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    row_number, f"column {header[pos]!r}: {cell!r} is not numeric"
-                ) from None
-        for field in ("gender", "employment", "hiv"):
-            if values[field] not in (0.0, 1.0):
-                pos = positions[field]
-                raise ParseError(
-                    row_number,
-                    f"column {header[pos]!r}: expected 0 or 1, got {cells[pos].strip()!r}",
-                )
-        try:
-            records.append(
-                ObservationRecord(
-                    age=values["age"],
-                    gender=int(values["gender"]),
-                    employment=int(values["employment"]),
-                    hiv=int(values["hiv"]),
-                )
-            )
-        except DomainError as exc:
-            raise ParseError(row_number, str(exc)) from None
-    if not records:
+    body = rows[1:]
+    if not body:
         raise SchemaError(f"{path}: no data rows")
-    return records
+
+    # The rows before the first ragged one are read, as one flat list whose
+    # every width-th cell is a column; the ragged row is itself a fault, so
+    # no row after it matters.
+    width = len(header)
+    lengths = np.fromiter(map(len, body), np.intp, count=len(body))
+    ragged = np.flatnonzero(lengths != width)
+    n = int(ragged[0]) if ragged.size else len(body)
+    cells = list(chain.from_iterable(body[:n]))
+    values = {field: _floats(cells[pos::width], n) for field, pos in positions.items()}
+    age = values["age"]
+    good = (AGE_MIN <= age) & (age <= AGE_MAX)
+    for field in _FLAGS:
+        good &= (values[field] == 0.0) | (values[field] == 1.0)
+    bad = np.flatnonzero(~good)
+    if bad.size or n < len(body):
+        row = int(bad[0]) if bad.size else n
+        raise ParseError(row + 1, _row_fault(body[row], header, positions))
+    # A flag compared with 1 reads a "-0" cell as +0, as int() does.
+    return _Columns(age, *((values[f] == 1.0).astype(np.int64) for f in _FLAGS))
+
+
+def load_csv(path) -> list[ObservationRecord]:
+    """Read observation records from a CSV file.
+
+    Header names are matched case-insensitively; ``Sex`` is accepted for
+    ``Gender``.  Columns beyond the four known ones are ignored with a
+    warning.  Row order is preserved.
+
+    Raises
+    ------
+    SchemaError
+        For an empty file, a missing required column, or no data rows.
+    ParseError
+        For a ragged, non-numeric, or out-of-domain cell; the message
+        cites the 1-based data-row number of the first faulty row.
+    """
+    return _records(_read_columns(path))
+
+
+def _write_csv(path, age, gender, employment, hiv) -> None:
+    # csv.writer writes a Python float as its repr(), so a load round-trips.
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["Age", "Gender", "Emp", "HIV"])
+        writer.writerows(zip(age, gender, employment, hiv))
 
 
 def save_csv(records: Sequence[ObservationRecord], path) -> None:
@@ -179,11 +247,22 @@ def save_csv(records: Sequence[ObservationRecord], path) -> None:
 
     Ages are written with full precision so a load round-trips losslessly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["Age", "Gender", "Emp", "HIV"])
-        for rec in records:
-            writer.writerow([repr(rec.age), rec.gender, rec.employment, rec.hiv])
+    age, *flags = (map(attrgetter(f), records) for f in _Columns._fields)
+    # repr() here too, so an age of another numeric type keeps its text.
+    _write_csv(path, map(repr, age), *flags)
+
+
+def _encoded(columns: _Columns) -> EncodedDataset:
+    design = np.column_stack(
+        (np.ones(len(columns.age)), columns.age, columns.employment, columns.gender)
+    )
+    total = columns.hiv.sum()
+    if total == 0 or total == columns.hiv.size:
+        # Attributed to the caller of encode or of the CLI's loader.
+        warnings.warn(
+            "response contains a single class; fitting will fail", stacklevel=3
+        )
+    return EncodedDataset(design, columns.hiv, ENCODED_COLUMNS)
 
 
 def encode(records: Sequence[ObservationRecord]) -> EncodedDataset:
@@ -194,17 +273,10 @@ def encode(records: Sequence[ObservationRecord]) -> EncodedDataset:
     """
     if not records:
         raise DomainError("cannot encode an empty record list")
-    design = np.empty((len(records), 4))
-    response = np.empty(len(records))
-    for i, rec in enumerate(records):
-        design[i] = (1.0, rec.age, rec.employment, rec.gender)
-        response[i] = rec.hiv
-    total = response.sum()
-    if total == 0 or total == response.size:
-        warnings.warn(
-            "response contains a single class; fitting will fail", stacklevel=2
-        )
-    return EncodedDataset(design, response, ENCODED_COLUMNS)
+    n = len(records)
+    return _encoded(_Columns(*(
+        np.fromiter(map(attrgetter(f), records), float, count=n) for f in _Columns._fields
+    )))
 
 
 def decode(data: EncodedDataset) -> list[ObservationRecord]:
@@ -224,6 +296,19 @@ def decode(data: EncodedDataset) -> list[ObservationRecord]:
     ]
 
 
+def _simulate_columns(spec: SimulationSpec) -> _Columns:
+    # The draws that simulate() documents, as columns.
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    n = spec.n
+    ages = rng.uniform(spec.age_low, spec.age_high, n)
+    employment = (rng.random(n) < spec.employment_rate).astype(np.int64)
+    gender = (rng.random(n) < spec.female_rate).astype(np.int64)
+    b0, b1, b2, b3 = spec.coefficients
+    eta = b0 + b1 * ages + b2 * employment + b3 * gender
+    hiv = (rng.random(n) < sigmoid(eta)).astype(np.int64)
+    return _Columns(ages, gender, employment, hiv)
+
+
 def simulate(spec: SimulationSpec) -> list[ObservationRecord]:
     """Draw records from the logistic model described by ``spec``.
 
@@ -236,20 +321,4 @@ def simulate(spec: SimulationSpec) -> list[ObservationRecord]:
     4. ``hiv = rng.random(n) < sigmoid(eta)`` with
        ``eta = b0 + b1 * age + b2 * employment + b3 * gender``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    n = spec.n
-    ages = rng.uniform(spec.age_low, spec.age_high, n)
-    employment = (rng.random(n) < spec.employment_rate).astype(np.int64)
-    gender = (rng.random(n) < spec.female_rate).astype(np.int64)
-    b0, b1, b2, b3 = spec.coefficients
-    eta = b0 + b1 * ages + b2 * employment + b3 * gender
-    hiv = (rng.random(n) < sigmoid(eta)).astype(np.int64)
-    return [
-        ObservationRecord(
-            age=float(ages[i]),
-            gender=int(gender[i]),
-            employment=int(employment[i]),
-            hiv=int(hiv[i]),
-        )
-        for i in range(n)
-    ]
+    return _records(_simulate_columns(spec))

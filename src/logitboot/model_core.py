@@ -16,7 +16,8 @@ information, so Newton-Raphson and Fisher scoring coincide here.
 
 The information is eigendecomposed once per iterate.  That one factor gives
 the conditioning guard lambda_max / lambda_min (a lambda_min that is not
-positive counts as singular), the Newton step and the final covariance.
+positive counts as singular, and so does information with a non-finite
+entry, which ``eigh`` never sees), the Newton step and the final covariance.
 
 Every fit runs through one Newton kernel, ``_fit_batch``, which iterates a
 stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once,
@@ -408,7 +409,15 @@ def _fit_batch(
     while slots.size:
         h = _probabilities(eta, e)
         grad = np.matmul(X.swapaxes(1, 2), (y - h)[..., None])[..., 0]
-        lam, vec = np.linalg.eigh(_information_from_probs(X, h))
+        info = _information_from_probs(X, h)
+        # An iterate that overflowed, say after a step through information
+        # too close to zero to invert, has non-finite information.  One
+        # such matrix would make eigh fail for the whole stack, so a zero
+        # matrix stands in for it and the guard below retires it.
+        finite = np.isfinite(info).all(axis=(1, 2))
+        if not finite.all():
+            info[~finite] = 0.0
+        lam, vec = np.linalg.eigh(info)
         # The start is never held to the coefficient bound.  Eigenvalues
         # come in ascending order; the comparison is False when lambda_min
         # is zero, negative or NaN, so those count as singular too.
@@ -480,7 +489,8 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
     SeparationError
         If an iterate's magnitude crosses ``COEFFICIENT_BOUND``, or the
         information matrix has lambda_max / lambda_min above
-        ``CONDITION_LIMIT`` or a lambda_min that is not positive.
+        ``CONDITION_LIMIT``, a lambda_min that is not positive, or an entry
+        that is not finite (an iterate that overflowed).
     """
     batch = _fit_batch(data.design[None], data.response[None], config)
     status = int(batch.status[0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from logitboot import fit_mle, holdout_validate
+from logitboot import SimulationSpec, fit_mle, holdout_validate, save_csv, simulate
 from logitboot.data_io import encode, load_csv
 
 from conftest import GOLDEN_COEFFICIENTS
@@ -117,6 +118,27 @@ class TestSimulateFit:
         run_cli("simulate", "--coefficients", GOLDEN_FLAG, "--n", "50",
                 "--seed", "11", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSimulateOutBytes:
+    # SHA-256 of the files the record-by-record writer produced; the
+    # columnar writer must reproduce them byte for byte.
+    @pytest.mark.parametrize("n, seed, digest", [
+        (30, 3, "6035557ff378cb8077bf132c445f3ac171e0949c172e8ac7cb681f1d6ba13494"),
+        (400, 7, "0e925248504dddfafa723bdbda87632a657cbb23dbd1b0b11a2c03da65783608"),
+    ])
+    def test_out_file_is_pinned(self, tmp_path, n, seed, digest):
+        path = tmp_path / "sim.csv"
+        code, out, err = run_cli("simulate", "--coefficients", GOLDEN_FLAG, "--n", str(n),
+                                 "--seed", str(seed), "--out", str(path))
+        assert code == 0, err
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        records = simulate(SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=n, seed=seed))
+        save_csv(records, tmp_path / "lib.csv")
+        assert (tmp_path / "lib.csv").read_bytes() == path.read_bytes()
+        doc = json.loads(out)
+        assert doc["records"] == n
+        assert doc["positive_fraction"] == sum(r.hiv for r in records) / n
 
 
 class TestBootstrapCLI:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from logitboot import (
     sigmoid,
     simulate,
 )
+from logitboot.cli import _load_dataset, main
 from logitboot.data_io import ENCODED_COLUMNS
 
 from conftest import GOLDEN_COEFFICIENTS
@@ -119,6 +122,65 @@ class TestLoadCsv:
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "absent.csv")
+
+
+GOOD_ROWS = "20,0,0,1\n30,1,1,0\n40,0,1,1\n50,1,0,0\n"
+HEADER = "Age,Gender,Emp,HIV\n"
+
+# Files with several faults: the first faulty row is cited, and within it
+# the first fault by priority (field count, then a non-numeric cell in
+# header order, then a flag that is not 0/1 in Gender, Emp, HIV order,
+# then the age domain).
+MULTI_FAULT_FILES = [
+    pytest.param(HEADER + GOOD_ROWS + "200,2,0,1\n", 5,
+                 "column 'Gender': expected 0 or 1, got '2'", id="two-faults-in-a-row"),
+    pytest.param(HEADER + GOOD_ROWS + "200,1,x,7\n", 5,
+                 "column 'Emp': 'x' is not numeric", id="three-faults-in-a-row"),
+    pytest.param(HEADER + "20,0,0,1\n20,0,1,1\n130.5,0,0,1\nx,0,0,1\n30,0\n", 3,
+                 "age must lie in [0, 130]", id="earlier-row-wins-over-priority"),
+    pytest.param(HEADER + "20,0,0,1\n20,0,2,1\n20,0,x,1\n", 2,
+                 "column 'Emp': expected 0 or 1, got '2'", id="earlier-flag-over-later-text"),
+    pytest.param(HEADER + "20,0,0,1\n20,0,0,1\n\n20,0,0,x\n", 3,
+                 "expected 4 fields, got 0", id="blank-line-mid-file"),
+    pytest.param("Gender,Emp,Age,HIV\n0,0,20,1\n x ,0,y,1\n", 2,
+                 "column 'Gender': 'x' is not numeric", id="text-before-age-in-header"),
+    pytest.param("HIV,Sex,Emp,Age\n1,0,0,20\n3,2,0,-1\n", 2,
+                 "column 'Sex': expected 0 or 1, got '2'", id="flag-order-not-header-order"),
+    pytest.param(HEADER + GOOD_ROWS + "nan,0,0,1\n", 5,
+                 "age must lie in [0, 130]", id="nan-age"),
+    pytest.param(HEADER + GOOD_ROWS + "inf,0,0,1\n", 5,
+                 "age must lie in [0, 130]", id="inf-age"),
+    pytest.param(HEADER + GOOD_ROWS + "-1,0,0,1\n", 5,
+                 "age must lie in [0, 130]", id="negative-age"),
+    pytest.param(HEADER + GOOD_ROWS + "20,0,0,nan\n", 5,
+                 "column 'HIV': expected 0 or 1, got 'nan'", id="nan-flag"),
+]
+
+
+class TestParseErrorParity:
+    @pytest.mark.parametrize("text, row, message", MULTI_FAULT_FILES)
+    def test_load_csv(self, tmp_path, text, row, message):
+        with pytest.raises(ParseError) as info:
+            load_csv(write(tmp_path, text))
+        assert info.value.row == row
+        assert str(info.value) == f"row {row}: {message}"
+
+    @pytest.mark.parametrize("text, row, message", MULTI_FAULT_FILES)
+    def test_cli_fit(self, tmp_path, capsys, text, row, message):
+        code = main(["fit", "--input", str(write(tmp_path, text))])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert doc["error"] == {"type": "ParseError", "message": f"row {row}: {message}"}
+
+
+def test_negative_zero_flags_encode_as_positive_zero(tmp_path):
+    path = write(tmp_path, HEADER + "20,-0,-0,-0\n30,1,1,1\n40,-0.0,1,-0\n50,1,-0,1\n")
+    data = _load_dataset(path)
+    assert not np.signbit(data.design).any()
+    assert not np.signbit(data.response).any()
+    library = encode(load_csv(path))
+    assert data.design.tobytes() == library.design.tobytes()
+    assert data.response.tobytes() == library.response.tobytes()
 
 
 class TestEncode:

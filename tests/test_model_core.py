@@ -470,6 +470,45 @@ def test_unbounded_slice_records_the_crossing_iterate(config):
     assert batch.log_likelihood[2] > log_likelihood(zero, data)
 
 
+class TestNonFiniteIterate:
+    """On the 400-row study with Age in thousandths of a year, the far
+    start's information is subnormal yet passes the condition test, so
+    the first Newton step overflows.  The slice is retired as singular
+    before ``eigh`` sees the non-finite iterate."""
+
+    CONFIG = FitConfig(initial_coefficients=tuple(np.linspace(-40, 40, 4)))
+
+    @staticmethod
+    def study(age_scale):
+        data = encode(
+            simulate(SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=400, seed=7))
+        )
+        design = data.design.copy()
+        design[:, 1] *= age_scale
+        return design, data.response
+
+    def test_fit_mle_raises_separation_error(self):
+        design, response = self.study(1e3)
+        with np.errstate(all="ignore"), pytest.raises(SeparationError, match="singular"):
+            fit_mle(EncodedDataset(design, response), self.CONFIG)
+
+    def test_stacked_neighbour_is_unaffected(self):
+        broken, response = self.study(1e3)
+        # Age shrunk a thousandfold: this slice is still live when the
+        # other's iterate turns non-finite.
+        neighbour, _ = self.study(1e-3)
+        with np.errstate(all="ignore"):
+            batch = _fit_batch(
+                np.stack([broken, neighbour]), np.stack([response, response]), self.CONFIG
+            )
+        alone = _fit_batch(neighbour[None], response[None], self.CONFIG)
+        assert batch.status[0] == SINGULAR
+        assert batch.iterations[0] == 1
+        assert alone.iterations[0] >= 1
+        for field in alone._fields:
+            assert getattr(batch, field)[1].tobytes() == getattr(alone, field)[0].tobytes()
+
+
 class TestDevianceResiduals:
     def test_hand_value_at_even_odds(self):
         data = EncodedDataset(np.ones((2, 1)), [1.0, 0.0])
