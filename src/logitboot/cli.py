@@ -304,7 +304,7 @@ def _curves_fit(args) -> FitResult:
         with open(args.fit_json, encoding="utf-8") as handle:
             try:
                 doc = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise SchemaError(f"{args.fit_json}: not valid JSON ({exc})") from None
         try:
             names = tuple(doc["columns"])
@@ -339,7 +339,13 @@ def _cmd_curves(args):
         raise DomainError("--age-step must be positive")
     if args.age_to < args.age_from:
         raise DomainError("--age-to must be at least --age-from")
-    grid = np.arange(args.age_from, args.age_to + args.age_step / 2.0, args.age_step)
+    try:
+        grid = np.arange(args.age_from, args.age_to + args.age_step / 2.0, args.age_step)
+    except ValueError as exc:
+        # A point count too large for an array, or a range that overflows.
+        raise DomainError(
+            f"cannot build the age grid from --age-from, --age-to and --age-step ({exc})"
+        ) from None
     wanted = [tok for tok in args.profiles.split(",") if tok.strip() != ""]
     unknown = set(wanted) - set(_PROFILE_NAMES)
     if unknown or not wanted:
@@ -359,9 +365,7 @@ def _cmd_curves(args):
             with open(args.out, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["profile", "age", "probability"])
-                writer.writerows(
-                    [p["profile"], repr(p["age"]), repr(p["probability"])] for p in points
-                )
+                writer.writerows(p.values() for p in points)
         else:
             with open(args.out, "w", encoding="utf-8") as handle:
                 json.dump(points, handle, indent=2)

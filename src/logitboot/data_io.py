@@ -168,8 +168,12 @@ def _row_fault(cells, header, positions) -> str:
 
 def _read_columns(path) -> _Columns:
     """Parse and check a CSV file as columns; see :func:`load_csv`."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # Bytes that are not UTF-8, or a cell over csv's field size limit.
+        raise SchemaError(f"{path}: unreadable as a UTF-8 CSV file ({exc})") from None
     if not rows:
         raise SchemaError(f"{path}: empty file")
 
@@ -226,7 +230,9 @@ def load_csv(path) -> list[ObservationRecord]:
     Raises
     ------
     SchemaError
-        For an empty file, a missing required column, or no data rows.
+        For an empty file, a missing required column, or no data rows, and
+        for a file that is not UTF-8 or has a cell longer than ``csv``'s
+        field size limit.
     ParseError
         For a ragged, non-numeric, or out-of-domain cell; the message
         cites the 1-based data-row number of the first faulty row.
@@ -235,7 +241,8 @@ def load_csv(path) -> list[ObservationRecord]:
 
 
 def _write_csv(path, age, gender, employment, hiv) -> None:
-    # csv.writer writes a Python float as its repr(), so a load round-trips.
+    # csv.writer writes a Python float or a NumPy float64 as the shortest
+    # text that parses back to the same value, so a load round-trips.
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["Age", "Gender", "Emp", "HIV"])
@@ -247,9 +254,7 @@ def save_csv(records: Sequence[ObservationRecord], path) -> None:
 
     Ages are written with full precision so a load round-trips losslessly.
     """
-    age, *flags = (map(attrgetter(f), records) for f in _Columns._fields)
-    # repr() here too, so an age of another numeric type keeps its text.
-    _write_csv(path, map(repr, age), *flags)
+    _write_csv(path, *(map(attrgetter(f), records) for f in _Columns._fields))
 
 
 def _encoded(columns: _Columns) -> EncodedDataset:

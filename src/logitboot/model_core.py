@@ -20,9 +20,9 @@ positive counts as singular, and so does information with a non-finite
 entry, which ``eigh`` never sees), the Newton step and the final covariance.
 
 Every fit runs through one Newton kernel, ``_fit_batch``, which iterates a
-stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once,
-halving steps per slice with masks and retiring slices by one status
-decision per iterate.
+stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once.  One
+status decision per iterate retires slices, single-class ones included, and
+is the kernel's only exit; step-halving re-evaluates the whole live stack.
 :func:`fit_mle` is its ``B = 1`` case; the bootstrap and the jackknife hand
 it a chunk of refits at a time.  Each slice's result is bit-identical to
 fitting that slice alone, whatever else is in the stack, because every
@@ -208,7 +208,7 @@ class FitResult:
 def _probabilities(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
     # Given e = exp(-|eta|) the sigmoid is 1 / (1 + e) for eta >= 0 and
     # e / (1 + e) below, so no positive argument is exponentiated.
-    out = np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(eta >= 0, 1.0, e) / (1.0 + e)
     # Keep the output strictly inside (0, 1) even where exp() underflows.
     np.clip(out, _P_LO, _P_HI, out=out)
     return out
@@ -346,9 +346,10 @@ _FAILURES = {
 class _Batch(NamedTuple):
     """Per-slice results of :func:`_fit_batch`, in the order of its stack.
 
-    Each slice records the iterate it left at, with the ``eigenvalues``
-    (ascending) and ``eigenvectors`` of the information there; for an
-    ``UNBOUNDED`` slice that is the first iterate past ``COEFFICIENT_BOUND``.
+    Each slice records the iterate it left at, with its log-likelihood and
+    the ``eigenvalues`` (ascending) and ``eigenvectors`` of the information
+    there: the start for a ``SINGLE_CLASS`` slice, and for an ``UNBOUNDED``
+    one the first iterate past ``COEFFICIENT_BOUND``.
     """
 
     coefficients: np.ndarray  # (B, p)
@@ -357,11 +358,6 @@ class _Batch(NamedTuple):
     status: np.ndarray  # (B,) of CONVERGED ... UNBOUNDED
     eigenvalues: np.ndarray  # (B, p)
     eigenvectors: np.ndarray  # (B, p, p)
-
-
-def _rows(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # The slices selected by mask; the stack itself, not a copy, when all are.
-    return stack if mask.all() else stack[mask]
 
 
 def _fit_batch(
@@ -373,12 +369,16 @@ def _fit_batch(
     Each slice follows exactly the iteration :func:`fit_mle` documents, and
     its results are bit-identical to fitting that slice alone (see the
     module docstring).  At the top of each iterate one decision retires
-    slices, the first match winning: ``UNBOUNDED`` (not tested at the
-    start), ``SINGULAR``, ``CONVERGED``, then ``NOT_CONVERGED`` at the
-    budget.  The live arrays are compacted only then, so a stack whose
-    slices all stay live, a single problem in particular, is never copied.
-    An iterate's ``e = exp(-|eta|)`` serves its log-likelihood and then its
-    probabilities, so each evaluated iterate costs one ``exp``.
+    slices, the first match winning: ``SINGLE_CLASS`` (so at iteration 0),
+    ``UNBOUNDED`` (not tested at the start), ``SINGULAR``, ``CONVERGED``,
+    then ``NOT_CONVERGED`` at the budget.  It is the only place a result
+    is written, and the live arrays are compacted only then, so a stack
+    whose slices all stay live, a single problem in particular, is never
+    copied.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood and
+    then its probabilities, so each evaluated iterate costs one ``exp``.
+    A halving pass halves the short slices' steps and re-evaluates the
+    whole live stack; an accepted slice's candidate is unchanged, so it
+    evaluates to the same bits again.
     """
     if config is None:
         config = FitConfig()
@@ -392,18 +392,18 @@ def _fit_batch(
             )
         theta[:] = start
     out = _Batch(
-        coefficients=theta.copy(),
-        log_likelihood=np.full(count, np.nan),
-        iterations=np.zeros(count, dtype=np.int64),
-        status=np.full(count, SINGLE_CLASS),
-        eigenvalues=np.full((count, width), np.nan),
-        eigenvectors=np.full((count, width, width), np.nan),
+        coefficients=np.empty((count, width)),
+        log_likelihood=np.empty(count),
+        iterations=np.empty(count, dtype=np.int64),
+        status=np.empty(count, dtype=np.int64),
+        eigenvalues=np.empty((count, width)),
+        eigenvectors=np.empty((count, width, width)),
     )
     positives = responses.sum(axis=1)
-    live = (positives > 0) & (positives < n)
+    single = (positives == 0) | (positives == n)
     # slots maps each live slice to its place in the stack.
-    slots = np.flatnonzero(live)
-    X, y, theta = _rows(designs, live), _rows(responses, live), theta[live]
+    slots = np.arange(count)
+    X, y = designs, responses
     eta, e, loglik = _evaluate(X, theta, y)
     iterations = 0
     while slots.size:
@@ -425,11 +425,12 @@ def _fit_batch(
         singular = ~(lam[:, 0] * CONDITION_LIMIT > lam[:, -1])
         converged = np.abs(grad).max(axis=1) <= config.tolerance
         spent = iterations >= config.max_iterations
-        done = unbounded | singular | converged | spent
+        done = single | unbounded | singular | converged | spent
         if done.any():
             # The first condition that holds is the slice's status.
-            fate = np.where(unbounded, UNBOUNDED, np.where(
-                singular, SINGULAR, np.where(converged, CONVERGED, NOT_CONVERGED)))
+            fate = np.select(
+                [single, unbounded, singular, converged],
+                [SINGLE_CLASS, UNBOUNDED, SINGULAR, CONVERGED], NOT_CONVERGED)
             at = slots[done]
             out.coefficients[at] = theta[done]
             out.log_likelihood[at] = loglik[done]
@@ -438,15 +439,15 @@ def _fit_batch(
             out.eigenvalues[at] = lam[done]
             out.eigenvectors[at] = vec[done]
             keep = ~done
-            slots, X, y, theta, eta, e, loglik, grad, lam, vec = (
-                a[keep] for a in (slots, X, y, theta, eta, e, loglik, grad, lam, vec)
+            slots, single, X, y, theta, loglik, grad, lam, vec = (
+                a[keep] for a in (slots, single, X, y, theta, loglik, grad, lam, vec)
             )
             if not slots.size:
                 break
         ratios = np.matmul(vec.swapaxes(1, 2), grad[..., None]) / lam[..., None]
         step = np.matmul(vec, ratios)[..., 0]
         candidate = theta + step
-        cand_eta, cand_e, cand_loglik = _evaluate(X, candidate, y)
+        eta, e, cand_loglik = _evaluate(X, candidate, y)
         # Halve only on decreases beyond the rounding noise of the
         # log-likelihood; reacting to one-ulp regressions near the optimum
         # would defeat Newton's quadratic tail.
@@ -456,14 +457,12 @@ def _fit_batch(
         # still short has been halved `halvings` times.
         halvings = 0
         while short.any() and halvings < MAX_STEP_HALVINGS:
-            step[short] = 0.5 * step[short]
-            candidate[short] = theta[short] + step[short]
-            cand_eta[short], cand_e[short], cand_loglik[short] = _evaluate(
-                _rows(X, short), candidate[short], _rows(y, short)
-            )
+            step[short] *= 0.5
+            candidate = theta + step
+            eta, e, cand_loglik = _evaluate(X, candidate, y)
             short = cand_loglik < loglik - slack
             halvings += 1
-        theta, eta, e, loglik = candidate, cand_eta, cand_e, cand_loglik
+        theta, loglik = candidate, cand_loglik
         iterations += 1
     return out
 

@@ -182,9 +182,10 @@ def holdout_validate(
     idx = np.array(test_indices, dtype=np.int64)
     if idx.size == 0:
         raise DomainError("test set must be non-empty")
-    if np.unique(idx).size != idx.size:
+    ordered = np.sort(idx, axis=None)
+    if (ordered[1:] == ordered[:-1]).any():
         raise DomainError("test indices must be distinct")
-    if idx.min() < 0 or idx.max() >= data.n_observations:
+    if ordered[0] < 0 or ordered[-1] >= data.n_observations:
         raise DomainError("test indices out of range")
 
     eta = data.design[idx] @ fit.coefficients
@@ -195,9 +196,10 @@ def holdout_validate(
     fp = int(np.count_nonzero(predicted & ~actual))
     tn = int(np.count_nonzero(~predicted & ~actual))
     fn = int(np.count_nonzero(~predicted & actual))
-    train = np.setdiff1d(np.arange(data.n_observations, dtype=np.int64), idx)
+    train = np.ones(data.n_observations, dtype=bool)
+    train[idx] = False
     return ValidationReport(
-        train_indices=train,
+        train_indices=np.flatnonzero(train),
         test_indices=idx,
         threshold=threshold,
         true_positive=tp,

@@ -336,6 +336,43 @@ class TestExitCodes:
         assert "PMOT" in err
 
 
+class TestUnreadableInputs:
+    """Input that fails below the package's own checks still ends in an
+    error document, not a traceback."""
+
+    @staticmethod
+    def error(expected_code, *args):
+        code, out, err = run_cli(*args)
+        assert (code, "Traceback" in err) == (expected_code, False), err
+        return json.loads(out)["error"]
+
+    def test_csv_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"Age,Gender,Emp,HIV\n20,0,0,1\n\xff30,1,1,0\n")
+        error = self.error(4, "fit", "--input", str(path))
+        assert error["type"] == "SchemaError"
+        assert str(path) in error["message"]
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("Age,Gender,Emp,HIV\n" + "2" * 140_000 + ",0,0,1\n30,1,1,0\n")
+        error = self.error(4, "fit", "--input", str(path))
+        assert error["type"] == "SchemaError"
+        assert str(path) in error["message"]
+
+    def test_fit_json_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_bytes(b'{"columns": ["\xff"]}')
+        error = self.error(4, "curves", "--fit-json", str(path))
+        assert error["type"] == "SchemaError"
+
+    def test_age_step_with_too_many_grid_points(self):
+        # 1.2e302 points: the count overflows before anything is allocated.
+        error = self.error(1, "curves", "--coefficients", GOLDEN_FLAG,
+                           "--age-step", "1e-300")
+        assert error["type"] == "DomainError"
+
+
 class TestNumpyOnlyRuntime:
     @pytest.mark.parametrize("args", [
         ("fit",),

@@ -62,6 +62,17 @@ class TestLoadCsv:
         save_csv(records, path)
         assert load_csv(path) == records
 
+    def test_numpy_scalar_ages_round_trip(self, tmp_path):
+        ages = np.array([25.5, 0.1, 89.99999999999999])
+        records = [
+            ObservationRecord(age=age, gender=k % 2, employment=0, hiv=1)
+            for k, age in enumerate(ages)
+        ]
+        path = tmp_path / "numpy.csv"
+        save_csv(records, path)
+        assert path.read_text().splitlines()[1] == "25.5,0,0,1"
+        assert load_csv(path) == records
+
     def test_header_case_insensitive_and_sex_alias(self, tmp_path):
         path = write(tmp_path, "sex,AGE,emp,Hiv\n1,42.5,0,1\n")
         records = load_csv(path)

@@ -470,6 +470,37 @@ def test_unbounded_slice_records_the_crossing_iterate(config):
     assert batch.log_likelihood[2] > log_likelihood(zero, data)
 
 
+@pytest.mark.parametrize("config", [FitConfig(), FitConfig(max_iterations=1)])
+def test_stacked_fields_match_solo_kernel(config):
+    """Every field of every slice that reaches Newton steps, eigenpairs
+    included, is bit-identical to that slice run alone, whichever slices
+    retire or halve around it."""
+    designs, responses = mixed_chunk()
+    forward = np.arange(len(designs))
+    for order in (forward, forward[::-1]):
+        batch = _fit_batch(designs[order], responses[order], config)
+        for slot, k in enumerate(order):
+            if batch.status[slot] == SINGLE_CLASS:
+                continue
+            alone = _fit_batch(designs[k][None], responses[k][None], config)
+            for field in alone._fields:
+                assert getattr(batch, field)[slot].tobytes() == \
+                    getattr(alone, field)[0].tobytes(), (k, field)
+
+
+def test_single_class_stack_retires_at_the_start():
+    designs, _ = mixed_chunk()
+    start = (0.5, -0.02, 0.3, -0.1)
+    responses = np.stack([np.ones(30), np.zeros(30), np.ones(30)])
+    batch = _fit_batch(designs[:3], responses, FitConfig(initial_coefficients=start))
+    assert batch.status.tolist() == [SINGLE_CLASS] * 3
+    assert batch.iterations.tolist() == [0] * 3
+    for k in range(3):
+        assert batch.coefficients[k].tolist() == list(start)
+        data = EncodedDataset(designs[k], responses[k])
+        assert batch.log_likelihood[k] == log_likelihood(start, data)
+
+
 class TestNonFiniteIterate:
     """On the 400-row study with Age in thousandths of a year, the far
     start's information is subnormal yet passes the condition test, so

@@ -194,6 +194,12 @@ class TestHoldoutValidate:
         with pytest.raises(DomainError):
             holdout_validate(study, fit, [0], threshold=0.0)
 
+    @pytest.mark.parametrize("indices", [[-1, -1], [400, 400], [5, 399, 5]])
+    def test_duplicates_are_reported_before_range(self, study, indices):
+        fit = fit_mle(study)
+        with pytest.raises(DomainError, match="distinct"):
+            holdout_validate(study, fit, indices)
+
 
 class TestProbabilityCurves:
     def test_golden_reference_class_at_age_zero(self, golden_fit):
