@@ -76,6 +76,9 @@ EXIT_DEGENERATE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# The most ages a curves grid may hold; each becomes a point per profile.
+MAX_GRID_POINTS = 100_000
+
 _PROFILE_NAMES = ("male-emp", "male-unemp", "female-emp", "female-unemp")
 
 
@@ -339,13 +342,15 @@ def _cmd_curves(args):
         raise DomainError("--age-step must be positive")
     if args.age_to < args.age_from:
         raise DomainError("--age-to must be at least --age-from")
-    try:
-        grid = np.arange(args.age_from, args.age_to + args.age_step / 2.0, args.age_step)
-    except ValueError as exc:
-        # A point count too large for an array, or a range that overflows.
+    # The point count np.arange computes, checked before anything is
+    # allocated; a range that overflows gives an infinite count.
+    stop = args.age_to + args.age_step / 2.0
+    if not (stop - args.age_from) / args.age_step <= MAX_GRID_POINTS:
         raise DomainError(
-            f"cannot build the age grid from --age-from, --age-to and --age-step ({exc})"
-        ) from None
+            "--age-from, --age-to and --age-step give an age grid of more than "
+            f"{MAX_GRID_POINTS} points"
+        )
+    grid = np.arange(args.age_from, stop, args.age_step)
     wanted = [tok for tok in args.profiles.split(",") if tok.strip() != ""]
     unknown = set(wanted) - set(_PROFILE_NAMES)
     if unknown or not wanted:

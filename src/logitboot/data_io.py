@@ -10,12 +10,18 @@ Encoding produces the fixed column order Intercept, Age, Emp, Gender with
 the HIV indicator as response, matching the coefficient order used
 throughout the package.
 
-The data path is columnar.  ``_read_columns`` reads a file with one
-``csv.reader`` pass, parses each needed column with ``float`` into an
-array and checks the rows with vector masks; on a fault, ``_row_fault``
-explains the first faulty row, and it is the one place the parse messages
-live.  ``_simulate_columns`` draws a study as columns, ``_encoded`` stacks
-columns into an :class:`EncodedDataset` and ``_write_csv`` writes them.
+The data path is columnar.  ``_read_columns`` reads a file's bytes once
+and takes one of two paths to the same columns.  A plain file, one whose
+data rows hold only ASCII digits, signs, points, exponents, commas and
+line ends (see ``_plain_table``), is parsed by ``np.loadtxt``, which reads
+a cell as ``float`` does.  Every other file, quoted, padded, non-ASCII or
+with a cell ``float`` rejects, goes through one ``csv.reader`` pass, and
+each needed column is parsed with ``float``.  The rows are then checked
+with vector masks; on a fault, ``_row_fault`` explains the first faulty
+row from its ``csv.reader`` cells, and it is the one place the parse
+messages live.  ``_simulate_columns`` draws a study as columns,
+``_encoded`` stacks columns into an :class:`EncodedDataset` and
+``_write_csv`` writes them.
 The CLI uses these alone.  :class:`ObservationRecord` lists exist only at
 the public wrappers :func:`load_csv`, :func:`encode`, :func:`save_csv`,
 :func:`simulate` and :func:`decode`.
@@ -24,6 +30,7 @@ the public wrappers :func:`load_csv`, :func:`encode`, :func:`save_csv`,
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -166,18 +173,74 @@ def _row_fault(cells, header, positions) -> str:
     return _AGE_DOMAIN
 
 
-def _read_columns(path) -> _Columns:
-    """Parse and check a CSV file as columns; see :func:`load_csv`."""
+def _csv_rows(raw: bytes, path) -> list[list[str]]:
+    # The rows csv.reader gives for the file opened as UTF-8 text.  The
+    # text layer decodes in the same chunks as it does from disk, so a
+    # decoding error cites the same position.
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+        return list(csv.reader(text))
     except (UnicodeDecodeError, csv.Error) as exc:
         # Bytes that are not UTF-8, or a cell over csv's field size limit.
         raise SchemaError(f"{path}: unreadable as a UTF-8 CSV file ({exc})") from None
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
 
-    header = [cell.strip() for cell in rows[0]]
+
+# Every byte a plain data row may hold: digits, sign, point, exponent,
+# comma and line ends.
+_PLAIN_BYTES = b"0123456789+-.eE,\r\n"
+
+
+def _plain_table(raw: bytes):
+    """The header cells and the data rows as an ``(n, width)`` float array,
+    when csv.reader would give the same cells; None otherwise.
+
+    That holds when the data rows hold only :data:`_PLAIN_BYTES`, the first
+    of them is not blank, the header is UTF-8 with no quote, no line is
+    longer than csv's field size limit, and ``np.loadtxt`` reads every line
+    as a row of ``width`` numbers.  ``np.loadtxt`` parses a cell as
+    ``float`` does; the line count catches the blank lines it skips, which
+    csv.reader reports as ragged rows.
+    """
+    raw = raw.removeprefix(b"\xef\xbb\xbf")
+    ends = [at for at in (raw.find(b"\r"), raw.find(b"\n")) if at >= 0]
+    if not ends:
+        return None
+    cut = min(ends)
+    head = raw[:cut]
+    data = raw[cut + (2 if raw.startswith(b"\r\n", cut) else 1):]
+    if (not head or b'"' in head or data[:1] in (b"", b"\r", b"\n")
+            or data.translate(None, _PLAIN_BYTES)):
+        return None
+    try:
+        header = head.decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    breaks = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    if np.diff(breaks, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        # A cell float() rejects, a ragged row or a lone \r line end.
+        return None
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    return (header, table) if table.shape == (lines, len(header)) else None
+
+
+def _read_columns(path) -> _Columns:
+    """Parse and check a CSV file as columns; see :func:`load_csv`."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    plain = _plain_table(raw)
+    if plain is None:
+        rows = _csv_rows(raw, path)
+        if not rows:
+            raise SchemaError(f"{path}: empty file")
+        head, body = rows[0], rows[1:]
+    else:
+        head, table = plain
+
+    header = [cell.strip() for cell in head]
     positions: dict[str, int] = {}
     ignored = []
     for pos, cell in enumerate(header):
@@ -195,27 +258,33 @@ def _read_columns(path) -> _Columns:
             f"{path}: ignoring unrecognized column(s): {', '.join(ignored)}",
             stacklevel=3,
         )
-    body = rows[1:]
-    if not body:
-        raise SchemaError(f"{path}: no data rows")
 
-    # The rows before the first ragged one are read, as one flat list whose
-    # every width-th cell is a column; the ragged row is itself a fault, so
-    # no row after it matters.
-    width = len(header)
-    lengths = np.fromiter(map(len, body), np.intp, count=len(body))
-    ragged = np.flatnonzero(lengths != width)
-    n = int(ragged[0]) if ragged.size else len(body)
-    cells = list(chain.from_iterable(body[:n]))
-    values = {field: _floats(cells[pos::width], n) for field, pos in positions.items()}
+    if plain is None:
+        if not body:
+            raise SchemaError(f"{path}: no data rows")
+        # The rows before the first ragged one are read, as one flat list
+        # whose every width-th cell is a column; the ragged row is itself a
+        # fault, so no row after it matters.
+        width = len(header)
+        lengths = np.fromiter(map(len, body), np.intp, count=len(body))
+        ragged = np.flatnonzero(lengths != width)
+        n = int(ragged[0]) if ragged.size else len(body)
+        count = len(body)
+        cells = list(chain.from_iterable(body[:n]))
+        values = {field: _floats(cells[pos::width], n) for field, pos in positions.items()}
+    else:
+        n = count = len(table)
+        values = {field: table[:, pos] for field, pos in positions.items()}
     age = values["age"]
     good = (AGE_MIN <= age) & (age <= AGE_MAX)
     for field in _FLAGS:
         good &= (values[field] == 0.0) | (values[field] == 1.0)
     bad = np.flatnonzero(~good)
-    if bad.size or n < len(body):
+    if bad.size or n < count:
         row = int(bad[0]) if bad.size else n
-        raise ParseError(row + 1, _row_fault(body[row], header, positions))
+        # The csv path is the one place a row's cells are read as text.
+        faulty = body[row] if plain is None else _csv_rows(raw, path)[row + 1]
+        raise ParseError(row + 1, _row_fault(faulty, header, positions))
     # A flag compared with 1 reads a "-0" cell as +0, as int() does.
     return _Columns(age, *((values[f] == 1.0).astype(np.int64) for f in _FLAGS))
 
@@ -241,12 +310,13 @@ def load_csv(path) -> list[ObservationRecord]:
 
 
 def _write_csv(path, age, gender, employment, hiv) -> None:
-    # csv.writer writes a Python float or a NumPy float64 as the shortest
-    # text that parses back to the same value, so a load round-trips.
+    # The bytes csv.writer would write: format() gives a float, NumPy's
+    # float64 included, the shortest text that parses back to the same
+    # value, so a load round-trips, and no cell needs quoting.
+    row = "{},{},{},{}\r\n".format
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["Age", "Gender", "Emp", "HIV"])
-        writer.writerows(zip(age, gender, employment, hiv))
+        handle.write("Age,Gender,Emp,HIV\r\n")
+        handle.write("".join(map(row, age, gender, employment, hiv)))
 
 
 def save_csv(records: Sequence[ObservationRecord], path) -> None:

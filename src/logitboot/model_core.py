@@ -65,6 +65,10 @@ CONDITION_LIMIT = 1e12
 
 MAX_STEP_HALVINGS = 10
 
+# A candidate is short, and its step halved, when its log-likelihood falls
+# more than this many units of 1 + |log-likelihood| below the iterate's.
+_LOGLIK_SLACK = 8.0 * np.finfo(float).eps
+
 # Closed-interval clamp keeping sigmoid output strictly inside (0, 1).
 _P_LO = np.nextafter(0.0, 1.0)
 _P_HI = np.nextafter(1.0, 0.0)
@@ -207,8 +211,9 @@ class FitResult:
 
 def _probabilities(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
     # Given e = exp(-|eta|) the sigmoid is 1 / (1 + e) for eta >= 0 and
-    # e / (1 + e) below, so no positive argument is exponentiated.
-    out = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    # e / (1 + e) below, so no positive argument is exponentiated.  As
+    # e <= 1, the numerator max(e, eta >= 0) is 1 or e accordingly.
+    out = np.maximum(e, eta >= 0) / (1.0 + e)
     # Keep the output strictly inside (0, 1) even where exp() underflows.
     np.clip(out, _P_LO, _P_HI, out=out)
     return out
@@ -314,9 +319,13 @@ def observed_information(coefficients, data: EncodedDataset) -> np.ndarray:
 
 
 def _information_from_probs(design: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # X' W X for one design or a stack of them.
+    # X' W X for one design or a stack of them.  Each row's weight is
+    # repeated across its p cells, so W X is one flat elementwise product
+    # with the same factors as design * w[..., None].
+    n, p = design.shape[-2:]
     w = h * (1.0 - h)
-    info = np.matmul(design.swapaxes(-1, -2), design * w[..., None])
+    flat = design.reshape(*design.shape[:-2], n * p) * np.repeat(w, p, axis=-1)
+    info = np.matmul(design.swapaxes(-1, -2), flat.reshape(design.shape))
     # Symmetrize to wash out last-bit asymmetry from the matmul.
     return (info + info.swapaxes(-1, -2)) * 0.5
 
@@ -451,7 +460,7 @@ def _fit_batch(
         # Halve only on decreases beyond the rounding noise of the
         # log-likelihood; reacting to one-ulp regressions near the optimum
         # would defeat Newton's quadratic tail.
-        slack = 8.0 * np.finfo(float).eps * (1.0 + np.abs(loglik))
+        slack = _LOGLIK_SLACK * (1.0 + np.abs(loglik))
         short = cand_loglik < loglik - slack
         # A slice whose candidate is accepted stays accepted, so every slice
         # still short has been halved `halvings` times.

@@ -372,6 +372,16 @@ class TestUnreadableInputs:
                            "--age-step", "1e-300")
         assert error["type"] == "DomainError"
 
+    def test_age_step_with_an_allocatable_count_over_the_bound(self):
+        # 1.2e14 points: a count np.arange accepts and then cannot allocate.
+        error = self.error(1, "curves", "--coefficients", GOLDEN_FLAG,
+                           "--age-step", "1e-12")
+        assert error == {
+            "type": "DomainError",
+            "message": "--age-from, --age-to and --age-step give an age grid "
+                       "of more than 100000 points",
+        }
+
 
 class TestNumpyOnlyRuntime:
     @pytest.mark.parametrize("args", [

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +22,15 @@ from logitboot import (
     sigmoid,
     simulate,
 )
+from logitboot import data_io
 from logitboot.cli import _load_dataset, main
-from logitboot.data_io import ENCODED_COLUMNS
+from logitboot.data_io import (
+    ENCODED_COLUMNS,
+    _plain_table,
+    _read_columns,
+    _simulate_columns,
+    _write_csv,
+)
 
 from conftest import GOLDEN_COEFFICIENTS
 
@@ -192,6 +201,104 @@ def test_negative_zero_flags_encode_as_positive_zero(tmp_path):
     library = encode(load_csv(path))
     assert data.design.tobytes() == library.design.tobytes()
     assert data.response.tobytes() == library.response.tobytes()
+
+
+def outcome(path):
+    """The column bytes or the error _read_columns gives, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [column.tobytes() for column in _read_columns(path)]
+        except (ParseError, SchemaError) as exc:
+            result = [type(exc), str(exc), getattr(exc, "row", None)]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# (file bytes, whether np.loadtxt reads it).  Each must give what the
+# csv.reader path gives.
+PLAIN_PARITY = [
+    pytest.param(b"Age,Gender,Emp,HIV\n" + b"0" * 140_000 + b",0,0,1\n30,1,1,0\n",
+                 False, id="digits-only-cell-over-the-field-limit"),
+    pytest.param((HEADER + "20,0,0,1\n\n30,1,1,0\n").encode(), False,
+                 id="blank-line-mid-file"),
+    pytest.param((HEADER + "20,0,0,1\n30,1,1,0\n\n").encode(), False,
+                 id="blank-line-at-the-end"),
+    pytest.param(b"Age,Gender,Emp,HIV\r\n20,0,0,1\r\n\r\n30,1,1,0\r\n", False,
+                 id="blank-crlf-line"),
+    pytest.param(b"Age,Gender,Emp,HIV\r20,0,0,1\r30,1,1,0\r", False, id="cr-line-ends"),
+    pytest.param(b"Age,Gender,Emp,HIV\r\n20,0,0,1\r\n30,1,1,0\r\n", True,
+                 id="crlf-line-ends"),
+    pytest.param(b"Age,Gender,Emp,HIV\n20,0,0,1\r\n30,1,1,0", True,
+                 id="mixed-line-ends-no-final-end"),
+    pytest.param(b"\xef\xbb\xbf" + (HEADER + GOOD_ROWS).encode(), True, id="bom"),
+    pytest.param((HEADER + "-0,-0,-0,-0\n30,1,1,1\n40,-0.0,1,-0\n").encode(), True,
+                 id="negative-zero-cells"),
+    pytest.param((HEADER + ".5,0,0,1\n5.,1,1,0\n1e1,0,1,1\n").encode(), True,
+                 id="point-and-exponent-ages"),
+    pytest.param((HEADER + "20,0,0,1\n1e5,1,1,0\n").encode(), True,
+                 id="exponent-age-out-of-domain"),
+    pytest.param((HEADER + "20,0,0,1\n30,1e0,1,2\n").encode(), True,
+                 id="flag-not-0-or-1"),
+    pytest.param(b"Age,Gender,Emp,HIV,PMOT\n20,0,1,0,7\n30,1,0,1,-8.5\n", True,
+                 id="extra-numeric-column"),
+    pytest.param(b"Age,Gender,Emp,HIV,PMOT\n20,0,1,0,7\n30,1,0,1,1e\n", False,
+                 id="extra-column-float-rejects"),
+    pytest.param((HEADER + "20,0,0,1\n30,1,1\n").encode(), False, id="ragged-row"),
+    pytest.param((HEADER + "20,0,0,1\n30,,1,0\n").encode(), False, id="empty-cell"),
+    pytest.param((HEADER + "20,0,0,1\n1_0,1,1,0\n").encode(), False, id="underscore"),
+    pytest.param((HEADER + "20,0,0,1\n30, 1,1,0\n").encode(), False, id="padded-cell"),
+    pytest.param(b'Age,"Gender",Emp,HIV\n20,0,0,1\n', False, id="quoted-header"),
+    pytest.param("Åge,Age,Gender,Emp,HIV\n1,20,0,0,1\n".encode(), True,
+                 id="non-ascii-header"),
+    pytest.param(b"\xc5ge,Age,Gender,Emp,HIV\n1,20,0,0,1\n", False,
+                 id="header-not-utf8"),
+]
+
+
+class TestPlainPath:
+    """np.loadtxt reads plain files; every file gives what csv.reader gives."""
+
+    @pytest.mark.parametrize("raw, plain", PLAIN_PARITY)
+    def test_parity_with_the_csv_path(self, tmp_path, monkeypatch, raw, plain):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        assert (_plain_table(raw) is not None) == plain
+        got = outcome(path)
+        monkeypatch.setattr(data_io, "_plain_table", lambda raw: None)
+        assert got == outcome(path)
+
+    @pytest.mark.parametrize("loader", [load_csv, _load_dataset])
+    def test_ignored_column_warning_names_the_caller(self, tmp_path, loader):
+        rows = "".join(f"{row},7\n" for row in GOOD_ROWS.split())
+        path = write(tmp_path, "Age,Gender,Emp,HIV,PMOT\n" + rows)
+        assert _plain_table(path.read_bytes()) is not None
+        with pytest.warns(UserWarning, match="PMOT") as record:
+            loader(path)
+        assert [w.filename for w in record] == [__file__]
+
+    def test_plain_file_needs_no_csv_reader(self, tmp_path, monkeypatch):
+        columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=400, seed=7))
+        path = tmp_path / "study.csv"
+        _write_csv(path, *(c.tolist() for c in columns))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain file")
+
+        monkeypatch.setattr(data_io.csv, "reader", refuse)
+        read = _read_columns(path)
+        assert [c.tobytes() for c in read] == [c.tobytes() for c in columns]
+
+
+def test_writer_matches_csv_writer(tmp_path):
+    columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=1000, seed=3))
+    cells = [c.tolist() for c in columns]
+    cells[0][:3] = np.array([25.5, 0.1, 89.99999999999999])  # NumPy float64 ages
+    _write_csv(tmp_path / "join.csv", *cells)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["Age", "Gender", "Emp", "HIV"])
+        writer.writerows(zip(*cells))
+    assert (tmp_path / "join.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestEncode:
