@@ -21,7 +21,6 @@ file or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -79,7 +78,7 @@ EXIT_IO = 4
 # The most ages a curves grid may hold; each becomes a point per profile.
 MAX_GRID_POINTS = 100_000
 
-_PROFILE_NAMES = ("male-emp", "male-unemp", "female-emp", "female-unemp")
+_PROFILE_NAMES = tuple(p.name for p in standard_profiles())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -292,17 +291,21 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
         raise DomainError(f"{flag} expects a comma-separated list of {noun}") from None
 
 
+def _coefficients(args) -> list[float]:
+    values = _parse_list(args.coefficients, "--coefficients")
+    if len(values) != len(ENCODED_COLUMNS):
+        raise DomainError(
+            f"--coefficients expects {len(ENCODED_COLUMNS)} values in order "
+            f"{', '.join(ENCODED_COLUMNS)}"
+        )
+    return values
+
+
 def _curves_fit(args) -> FitResult:
     if (args.coefficients is None) == (args.fit_json is None):
         raise DomainError("pass exactly one of --coefficients or --fit-json")
     if args.coefficients is not None:
-        values = _parse_list(args.coefficients, "--coefficients")
-        names = ENCODED_COLUMNS
-        if len(values) != len(names):
-            raise DomainError(
-                f"--coefficients expects {len(names)} values in order "
-                f"{', '.join(names)}"
-            )
+        names, values = ENCODED_COLUMNS, _coefficients(args)
     else:
         with open(args.fit_json, encoding="utf-8") as handle:
             try:
@@ -367,10 +370,8 @@ def _cmd_curves(args):
         raise DomainError("--format csv requires --out FILE")
     if args.out is not None:
         if args.format == "csv":
-            with open(args.out, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["profile", "age", "probability"])
-                writer.writerows(p.values() for p in points)
+            _write_csv(args.out, *zip(*(p.values() for p in points)),
+                       header=("profile", "age", "probability"))
         else:
             with open(args.out, "w", encoding="utf-8") as handle:
                 json.dump(points, handle, indent=2)
@@ -383,14 +384,8 @@ def _cmd_curves(args):
 
 
 def _cmd_simulate(args):
-    values = _parse_list(args.coefficients, "--coefficients")
-    if len(values) != 4:
-        raise DomainError(
-            "--coefficients expects 4 values in order "
-            f"{', '.join(ENCODED_COLUMNS)}"
-        )
     spec = SimulationSpec(
-        coefficients=tuple(values),
+        coefficients=tuple(_coefficients(args)),
         n=args.n,
         age_low=args.age_low,
         age_high=args.age_high,
@@ -398,7 +393,12 @@ def _cmd_simulate(args):
         female_rate=args.p_gender,
         seed=args.seed,
     )
-    columns = _simulate_columns(spec)
+    try:
+        columns = _simulate_columns(spec)
+    except (MemoryError, ValueError):
+        # NumPy's answers to a size it cannot allocate (MemoryError) or
+        # index (ValueError); spec's checks leave no other ValueError.
+        raise DomainError(f"--n {spec.n} is too many rows to draw") from None
     _write_csv(args.out, *(c.tolist() for c in columns))
     payload = {
         "output": args.out,

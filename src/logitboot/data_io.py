@@ -21,7 +21,7 @@ with vector masks; on a fault, ``_row_fault`` explains the first faulty
 row from its ``csv.reader`` cells, and it is the one place the parse
 messages live.  ``_simulate_columns`` draws a study as columns,
 ``_encoded`` stacks columns into an :class:`EncodedDataset` and
-``_write_csv`` writes them.
+``_write_csv`` writes columns under a header, by default the study's.
 The CLI uses these alone.  :class:`ObservationRecord` lists exist only at
 the public wrappers :func:`load_csv`, :func:`encode`, :func:`save_csv`,
 :func:`simulate` and :func:`decode`.
@@ -309,14 +309,14 @@ def load_csv(path) -> list[ObservationRecord]:
     return _records(_read_columns(path))
 
 
-def _write_csv(path, age, gender, employment, hiv) -> None:
+def _write_csv(path, *columns, header=("Age", "Gender", "Emp", "HIV")) -> None:
     # The bytes csv.writer would write: format() gives a float, NumPy's
     # float64 included, the shortest text that parses back to the same
     # value, so a load round-trips, and no cell needs quoting.
-    row = "{},{},{},{}\r\n".format
+    row = (",".join(["{}"] * len(header)) + "\r\n").format
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("Age,Gender,Emp,HIV\r\n")
-        handle.write("".join(map(row, age, gender, employment, hiv)))
+        handle.write(",".join(header) + "\r\n")
+        handle.write("".join(map(row, *columns)))
 
 
 def save_csv(records: Sequence[ObservationRecord], path) -> None:
@@ -360,15 +360,10 @@ def decode(data: EncodedDataset) -> list[ObservationRecord]:
         raise SchemaError(
             f"dataset columns {data.column_names} are not the canonical layout"
         )
-    return [
-        ObservationRecord(
-            age=float(row[1]),
-            gender=int(row[3]),
-            employment=int(row[2]),
-            hiv=int(y),
-        )
-        for row, y in zip(data.design, data.response)
-    ]
+    design = data.design
+    flags = (design[:, 3], design[:, 2], data.response)  # Gender, Emp, HIV
+    # astype truncates a flag as int() does.
+    return _records(_Columns(design[:, 1], *(f.astype(np.int64) for f in flags)))
 
 
 def _simulate_columns(spec: SimulationSpec) -> _Columns:

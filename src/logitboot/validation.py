@@ -8,6 +8,7 @@ is meaningful; pass ``shuffle_seed`` to permute rows reproducibly first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -243,6 +244,10 @@ def probability_curves(
     ``covariates`` mapping, and profiles may not mention predictors the
     model lacks (or the age column itself).  Points come back in profile
     order, ages ascending within each profile.
+
+    Each age's linear predictor is a stacked ``(1, p) @ (p, 1)`` product,
+    which runs the dot routine of ``coefficients @ row`` and so keeps its
+    bits; ``rows @ coefficients`` sums in another order and would not.
     """
     names = fit.column_names
     if age_column not in names:
@@ -265,17 +270,14 @@ def probability_curves(
             raise DomainError(
                 f"profile {profile.name!r} leaves predictors unset: {sorted(missing)}"
             )
-        row = np.zeros(len(names))
-        row[0] = 1.0
+        rows = np.zeros((profile.age_grid.size, len(names)))
+        rows[:, 0] = 1.0
         for name, value in profile.covariates.items():
-            row[names.index(name)] = float(value)
-        etas = np.empty(profile.age_grid.size)
-        for i, age in enumerate(profile.age_grid):
-            row[age_j] = age
-            etas[i] = fit.coefficients @ row
+            rows[:, names.index(name)] = float(value)
+        rows[:, age_j] = profile.age_grid
+        etas = np.matmul(rows[:, None, :], fit.coefficients[:, None])[:, 0, 0]
         probs = _probabilities(etas, np.exp(-np.abs(etas)))
-        points.extend(
-            CurvePoint(profile=profile.name, age=float(age), probability=float(p))
-            for age, p in zip(profile.age_grid, probs)
-        )
+        points.extend(map(
+            CurvePoint, repeat(profile.name), profile.age_grid.tolist(), probs.tolist()
+        ))
     return points

@@ -382,6 +382,18 @@ class TestUnreadableInputs:
                        "of more than 100000 points",
         }
 
+    @pytest.mark.parametrize("n", [
+        10**15,  # 7.11 PiB of ages: past any address space, so NumPy fails at once
+        10**20,  # more than NumPy's largest array dimension
+    ])
+    def test_simulate_rows_that_cannot_be_allocated(self, tmp_path, n):
+        out_path = tmp_path / "study.csv"
+        error = self.error(1, "simulate", "--coefficients", "1,0,0,0",
+                           "--n", str(n), "--out", str(out_path))
+        assert error == {"type": "DomainError",
+                         "message": f"--n {n} is too many rows to draw"}
+        assert not out_path.exists()
+
 
 class TestNumpyOnlyRuntime:
     @pytest.mark.parametrize("args", [

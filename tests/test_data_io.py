@@ -18,9 +18,11 @@ from logitboot import (
     decode,
     encode,
     load_csv,
+    probability_curves,
     save_csv,
     sigmoid,
     simulate,
+    standard_profiles,
 )
 from logitboot import data_io
 from logitboot.cli import _load_dataset, main
@@ -32,7 +34,7 @@ from logitboot.data_io import (
     _write_csv,
 )
 
-from conftest import GOLDEN_COEFFICIENTS
+from conftest import GOLDEN_COEFFICIENTS, GOLDEN_COEFFICIENTS_FULL, make_fit
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -293,12 +295,21 @@ def test_writer_matches_csv_writer(tmp_path):
     columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=1000, seed=3))
     cells = [c.tolist() for c in columns]
     cells[0][:3] = np.array([25.5, 0.1, 89.99999999999999])  # NumPy float64 ages
-    _write_csv(tmp_path / "join.csv", *cells)
-    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["Age", "Gender", "Emp", "HIV"])
-        writer.writerows(zip(*cells))
-    assert (tmp_path / "join.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # The CLI's curves file: profile names, then float ages and probabilities.
+    curve_header = ("profile", "age", "probability")
+    curve = probability_curves(
+        make_fit(GOLDEN_COEFFICIENTS_FULL), standard_profiles(np.arange(0.0, 130.0, 0.37))
+    )
+    curve_cells = [[getattr(p, field) for p in curve] for field in curve_header]
+    join, reference = tmp_path / "join.csv", tmp_path / "reference.csv"
+    for header, body in ((("Age", "Gender", "Emp", "HIV"), cells),
+                         (curve_header, curve_cells)):
+        _write_csv(join, *body, header=header)
+        with open(reference, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(zip(*body))
+        assert join.read_bytes() == reference.read_bytes()
 
 
 class TestEncode:

@@ -19,9 +19,11 @@ from logitboot import (
     standard_profiles,
 )
 from logitboot.data_io import SimulationSpec, encode, simulate
+from logitboot.model_core import _probabilities
 
 from conftest import (
     GOLDEN_COEFFICIENTS,
+    GOLDEN_COEFFICIENTS_FULL,
     GOLDEN_TRAIN_COEFFICIENTS,
     make_fit,
 )
@@ -236,6 +238,36 @@ class TestProbabilityCurves:
         top = by_profile.pop("female-unemp")
         for curve in by_profile.values():
             assert np.all(top >= curve)
+
+    @pytest.mark.parametrize("coefficients", [
+        GOLDEN_COEFFICIENTS,
+        GOLDEN_COEFFICIENTS_FULL,
+        (40.0, -0.07492, 1.64392, 0.08356),  # the youngest ages clip below 1
+        (-40.0, 0.07492, -1.64392, 0.08356),
+    ], ids=["golden", "golden-full", "saturated-high", "saturated-low"])
+    @pytest.mark.parametrize("grid", [
+        default_age_grid(),
+        np.arange(0.0, 130.0, 0.37),
+        np.arange(0.0, 130.0, 0.026),  # 5000 points
+    ], ids=["default", "step-0.37", "step-0.026"])
+    def test_points_keep_the_per_age_dot_product_bits(self, coefficients, grid):
+        fit = make_fit(coefficients)
+        profiles = standard_profiles(grid)
+        names, expected = [], []
+        for profile in profiles:
+            pinned = profile.covariates
+            row = np.array([1.0, 0.0, pinned["Emp"], pinned["Gender"]])
+            etas = np.empty(grid.size)
+            for i, age in enumerate(grid):
+                row[1] = age
+                etas[i] = fit.coefficients @ row
+            probs = _probabilities(etas, np.exp(-np.abs(etas)))
+            names += [profile.name] * grid.size
+            expected += zip(grid.tolist(), probs.tolist())
+        points = probability_curves(fit, profiles)
+        assert [p.profile for p in points] == names
+        got = np.array([(p.age, p.probability) for p in points])
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_profile_validation(self, golden_fit):
         grid = default_age_grid()
