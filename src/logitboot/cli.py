@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, inference
 from .data_io import (
     ENCODED_COLUMNS,
     SimulationSpec,
@@ -151,10 +151,10 @@ def _fit_payload(fit: FitResult) -> dict:
     return payload
 
 
-def _interval_json(name: str, interval) -> dict:
+def _interval_json(names, interval) -> dict:
     odds = odds_scale(interval)
     return {
-        "name": name,
+        "name": names[interval.coefficient_index],
         "index": interval.coefficient_index,
         "method": interval.method,
         "level": interval.level,
@@ -195,24 +195,21 @@ def _cmd_bootstrap(args):
         raise NotConvergedError("full-sample fit did not converge")
 
     methods = ("wald", "percentile", "bca") if args.ci_method == "all" else (args.ci_method,)
+    level, indices = args.ci_level, range(len(fit.column_names))
     intervals = []
     if "wald" in methods:
-        for interval in wald_ci(fit, args.ci_level):
-            intervals.append(
-                _interval_json(fit.column_names[interval.coefficient_index], interval)
-            )
+        intervals += wald_ci(fit, level)
     if "percentile" in methods:
-        for j, name in enumerate(fit.column_names):
-            intervals.append(_interval_json(name, percentile_ci(result, j, args.ci_level)))
+        intervals += [percentile_ci(result, j, level) for j in indices]
     if "bca" in methods:
+        # bca_ci's own first checks, made before the n leave-one-out refits
+        # that a failing request would otherwise pay for.
+        inference._check_level(level)
+        inference._check_survivors(result, inference.MIN_BCA_REPLICATES, "BCa")
         loo = jackknife_estimates(data, config)
-        for j, name in enumerate(fit.column_names):
+        for j in indices:
             accel = acceleration_from_jackknife(loo[:, j])
-            intervals.append(
-                _interval_json(
-                    name, bca_ci(result, data, config, j, args.ci_level, acceleration=accel)
-                )
-            )
+            intervals.append(bca_ci(result, data, config, j, level, acceleration=accel))
 
     means = result.replicates.mean(axis=0)
     payload = {
@@ -224,7 +221,7 @@ def _cmd_bootstrap(args):
             "dropped": result.dropped,
         },
         "bootstrap_means": _coefficient_map(fit.column_names, means),
-        "intervals": intervals,
+        "intervals": [_interval_json(fit.column_names, i) for i in intervals],
     }
     return payload, EXIT_OK
 

@@ -387,7 +387,9 @@ def bca_ci(
     tails.  When ``z0 = 0`` and ``a = 0`` the adjustment vanishes and the
     interval equals :func:`percentile_ci` exactly.  If every replicate
     falls on one side of the original estimate the correction is undefined;
-    the interval then carries percentile bounds and ``fallback=True``.
+    the interval then carries percentile bounds and ``fallback=True``.  The
+    acceleration, and with ``acceleration=None`` the jackknife, is computed
+    only when the bias correction is defined.
 
     ``bias_correction`` and ``acceleration`` override the estimated values
     when given (useful for sensitivity checks).  With ``acceleration=None``
@@ -408,47 +410,38 @@ def bca_ci(
     _check_level(level)
     _check_survivors(result, MIN_BCA_REPLICATES, "BCa")
     column = result.replicates[:, coefficient_index]
-
+    alpha = (1.0 - level) / 2.0
+    tails = [alpha, 1.0 - alpha]
+    fallback = False
     if bias_correction is None:
         below = np.count_nonzero(
             column < result.original_fit.coefficients[coefficient_index]
         )
         fraction = below / column.size
-        if fraction == 0.0 or fraction == 1.0:
-            base = percentile_ci(result, coefficient_index, level)
-            return IntervalEstimate(
-                coefficient_index=coefficient_index,
-                method="bca",
-                level=level,
-                lower=base.lower,
-                upper=base.upper,
-                fallback=True,
-            )
-        z0 = _STANDARD_NORMAL.inv_cdf(fraction)
+        # All replicates on one side: z0 is undefined; keep the plain tails.
+        fallback = fraction in (0.0, 1.0)
+        z0 = None if fallback else _STANDARD_NORMAL.inv_cdf(fraction)
     else:
         z0 = float(bias_correction)
-
-    if acceleration is None:
-        a = jackknife_acceleration(data, config, coefficient_index)
-    else:
-        a = float(acceleration)
-
-    alpha = (1.0 - level) / 2.0
-    if z0 == 0.0 and a == 0.0:
-        # The adjustment is the identity; read the plain tails so the
-        # degenerate case matches percentile_ci bit for bit.
-        alpha_lo, alpha_hi = alpha, 1.0 - alpha
-    else:
-        z = np.array([_STANDARD_NORMAL.inv_cdf(p) for p in (alpha, 1.0 - alpha)])
-        adjusted = z0 + (z0 + z) / (1.0 - a * (z0 + z))
-        alpha_lo, alpha_hi = (_STANDARD_NORMAL.cdf(float(v)) for v in adjusted)
-    lower, upper = np.quantile(column, [alpha_lo, alpha_hi])
+    if not fallback:
+        if acceleration is None:
+            a = jackknife_acceleration(data, config, coefficient_index)
+        else:
+            a = float(acceleration)
+        # When z0 = a = 0 the adjustment is the identity; the plain tails
+        # are kept so the degenerate case matches percentile_ci bit for bit.
+        if z0 != 0.0 or a != 0.0:
+            z = np.array([_STANDARD_NORMAL.inv_cdf(p) for p in tails])
+            adjusted = z0 + (z0 + z) / (1.0 - a * (z0 + z))
+            tails = [_STANDARD_NORMAL.cdf(float(v)) for v in adjusted]
+    lower, upper = np.quantile(column, tails)
     return IntervalEstimate(
         coefficient_index=coefficient_index,
         method="bca",
         level=level,
         lower=float(lower),
         upper=float(upper),
+        fallback=fallback,
     )
 
 

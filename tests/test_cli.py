@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from logitboot import SimulationSpec, fit_mle, holdout_validate, save_csv, simulate
+from logitboot import SimulationSpec, cli, fit_mle, holdout_validate, save_csv, simulate
 from logitboot.data_io import encode, load_csv
 
 from conftest import GOLDEN_COEFFICIENTS
@@ -181,6 +181,27 @@ class TestBootstrapCLI:
                                "--ci-method", "bca")
         assert code == 3
         assert json.loads(out)["error"]["type"] == "InsufficientReplicatesError"
+
+    @pytest.mark.parametrize(
+        "extra, code, error",
+        [
+            (("--replicates", "200"), 3, "InsufficientReplicatesError"),
+            (("--replicates", "120", "--ci-level", "0.9999999999999999"), 1,
+             "DomainError"),
+        ],
+    )
+    def test_bca_request_that_must_fail_runs_no_jackknife(
+        self, study_csv, monkeypatch, capsys, extra, code, error
+    ):
+        # Too few replicates for BCa, or a level whose tails round to 0 and
+        # 1: bca_ci would refuse either, so the n-refit jackknife is skipped.
+        def no_jackknife(*args, **kwargs):
+            raise AssertionError("jackknife ran for a BCa request that must fail")
+
+        monkeypatch.setattr(cli, "jackknife_estimates", no_jackknife)
+        assert cli.main(["bootstrap", "--input", study_csv, "--seed", "5",
+                         "--ci-method", "bca", *extra]) == code
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == error
 
 
 class TestSplitValidateCurves:

@@ -416,6 +416,30 @@ class TestBCaCI:
         with pytest.raises(InsufficientReplicatesError):
             bca_ci(result, None, None, 0, 0.95)
 
+    def test_fallback_flag_is_a_python_bool(self):
+        # json.dumps refuses numpy.bool_, and the CLI writes this flag as is.
+        one_sided = synthetic_result(np.linspace(1.0, 2.0, 1500), estimate=0.5)
+        column = np.concatenate([np.linspace(-2, -0.1, 600), np.linspace(0.1, 2, 600)])
+        unbiased = synthetic_result(column, estimate=0.0)
+        assert bca_ci(one_sided, None, None, 0, 0.95).fallback is True
+        assert bca_ci(unbiased, None, None, 0, 0.95, acceleration=0.0).fallback is False
+
+    def test_given_bias_correction_on_one_sided_column_adjusts_tails(self):
+        # A given z0 needs no fraction below the estimate, so even when every
+        # replicate lies above it the interval is a BCa one, not a fallback.
+        column = np.linspace(1.0, 2.0, 1500)
+        result = synthetic_result(column, estimate=0.5)
+        z0, a, level = 0.3, 0.1, 0.9
+        interval = bca_ci(result, None, None, 0, level, bias_correction=z0, acceleration=a)
+        z = scipy.stats.norm.ppf([(1 - level) / 2, (1 + level) / 2])
+        tails = scipy.stats.norm.cdf(z0 + (z0 + z) / (1 - a * (z0 + z)))
+        expected = np.quantile(column, tails)
+        plain = percentile_ci(result, 0, level)
+        assert interval.fallback is False
+        assert interval.lower == pytest.approx(float(expected[0]), abs=1e-12)
+        assert interval.upper == pytest.approx(float(expected[1]), abs=1e-12)
+        assert (interval.lower, interval.upper) != (plain.lower, plain.upper)
+
 
 class TestOddsReport:
     def test_zero_coefficient_gives_unit_odds(self):
