@@ -51,11 +51,22 @@ from .model_core import (
     fit_mle,
 )
 
-# Refits are stacked this many bytes of gathered design at a time: 20
-# resamples of a 400 x 4 design, one of a 20 000-row design.  At n = 400 a
-# 1000-replicate bootstrap took 0.77 s one resample at a time, 0.25 s at 20
-# and 0.23 s at 80 (2-core x86 host); larger stacks mostly add memory.
-CHUNK_BYTES = 256 * 1024
+# Refits are stacked this many bytes of gathered design at a time.  A
+# 1000-replicate bootstrap plus the jackknife of a 400 x 4 study, by stack
+# size (2-core x86 host, median of 9; traced peak of the bootstrap):
+#
+#   bytes     resamples per stack      study   traced peak
+#             n = 400   n = 20 000
+#   256 KiB      20         1          0.23 s   0.96 MiB
+#   512 KiB      40         1          0.20 s   1.83 MiB
+#   1 MiB        81         1          0.18 s   3.62 MiB
+#   2 MiB       163         3          0.19 s   7.22 MiB
+#
+# A 20 000-row resample is 640 000 bytes, so up to 1 MiB such studies are
+# refitted one resample at a time.  2 MiB was rejected: it gained nothing
+# more and raised the boot-study benchmark's peak RSS to 54.4 MB, 21% over
+# the 45.1 MB at 256 KiB (1 MiB: 48.3 MB).
+CHUNK_BYTES = 1024 * 1024
 
 MIN_PERCENTILE_REPLICATES = 100
 MIN_BCA_REPLICATES = 1000
@@ -183,23 +194,27 @@ def _refit_all(
     data: EncodedDataset,
     config: FitConfig | None,
     count: int,
-    rows_of: Callable[[int], np.ndarray],
+    rows_of: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[list[int], np.ndarray]:
-    """Refit on the rows ``rows_of(k)`` of ``data`` for every ``k < count``.
+    """Refit on ``count`` row subsets of ``data``, numbered ``k < count``.
 
-    Refits run ``CHUNK_BYTES`` of gathered design at a time through the
-    stacked kernel.  Returns the ``k`` of the refits that converged, in
-    order, and their coefficient rows; refits on a single-class subset,
-    separated or singular ones and those out of iterations are left out.
+    ``rows_of(block)`` takes an array of consecutive ``k`` and returns their
+    row indices, one row of the matrix per ``k``.  Refits run
+    ``CHUNK_BYTES`` of gathered design at a time through the stacked
+    kernel.  Returns the ``k`` of the refits that converged, in order, and
+    their coefficient rows; refits on a single-class subset, separated or
+    singular ones and those out of iterations are left out.
     """
     chunk = max(1, CHUNK_BYTES // (8 * data.n_observations * data.n_parameters))
     ids, kept = [], []
     for lo in range(0, count, chunk):
-        block = range(lo, min(lo + chunk, count))
-        rows = np.stack([rows_of(k) for k in block])
-        batch = _fit_batch(data.design[rows], data.response[rows], config)
+        block = np.arange(lo, min(lo + chunk, count))
+        rows = rows_of(block)
+        batch = _fit_batch(
+            np.take(data.design, rows, axis=0), np.take(data.response, rows), config
+        )
         ok = batch.status == CONVERGED
-        ids.extend(k for k, good in zip(block, ok) if good)
+        ids.extend(block[ok].tolist())
         kept.append(batch.coefficients[ok])
     return ids, np.concatenate(kept)
 
@@ -233,7 +248,12 @@ def bootstrap_fit(
     original = fit_mle(data, config)
     n = data.n_observations
     ids, kept = _refit_all(
-        data, config, replicates, lambda b: resample_indices(master_seed, b, n)
+        data,
+        config,
+        replicates,
+        lambda block: np.stack(
+            [resample_indices(master_seed, b, n) for b in block.tolist()]
+        ),
     )
     if len(ids) < MIN_SURVIVING_FRACTION * replicates:
         raise ResamplingInstabilityError(
@@ -331,8 +351,9 @@ def jackknife_estimates(
     Rows whose refit fails or does not converge are omitted.
     """
     n = data.n_observations
-    every_row = np.arange(n)
-    _, kept = _refit_all(data, config, n, lambda i: np.delete(every_row, i))
+    # Leaving out row i keeps the indices below i and shifts the rest up one.
+    keep = np.arange(n - 1)
+    _, kept = _refit_all(data, config, n, lambda block: keep + (keep >= block[:, None]))
     if len(kept) < 2:
         raise InsufficientReplicatesError(
             "fewer than two leave-one-out refits succeeded"

@@ -321,10 +321,14 @@ def observed_information(coefficients, data: EncodedDataset) -> np.ndarray:
 def _information_from_probs(design: np.ndarray, h: np.ndarray) -> np.ndarray:
     # X' W X for one design or a stack of them.  Each row's weight is
     # repeated across its p cells, so W X is one flat elementwise product
-    # with the same factors as design * w[..., None].
+    # with the same factors as design * w[..., None].  The product is
+    # written into the repeated weights because NumPy reuses a temporary
+    # in place only from 256 KiB up: below that a plain product holds a
+    # second design-sized array.
     n, p = design.shape[-2:]
     w = h * (1.0 - h)
-    flat = design.reshape(*design.shape[:-2], n * p) * np.repeat(w, p, axis=-1)
+    flat = np.repeat(w, p, axis=-1)
+    np.multiply(design.reshape(*design.shape[:-2], n * p), flat, out=flat)
     info = np.matmul(design.swapaxes(-1, -2), flat.reshape(design.shape))
     # Symmetrize to wash out last-bit asymmetry from the matmul.
     return (info + info.swapaxes(-1, -2)) * 0.5

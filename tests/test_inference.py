@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -207,6 +209,28 @@ class TestStackedRefits:
         # 256 KiB holds 20 resamples of a 400 x 4 design: 67 replicates make
         # three full chunks and a partial fourth.
         self.assert_bootstrap_contract(golden_study(400, 7), None, 67, 5)
+
+    def test_bootstrap_every_id_across_chunk_bytes_boundaries(self):
+        # Two full stacks of 400 x 4 resamples at CHUNK_BYTES and a partial
+        # third.
+        chunk = logitboot.inference.CHUNK_BYTES // (8 * 400 * 4)
+        self.assert_bootstrap_contract(golden_study(400, 7), None, 2 * chunk + 3, 5)
+
+    @pytest.mark.parametrize("refits", [
+        lambda data: bootstrap_fit(data, replicates=1000, master_seed=5),
+        jackknife_estimates,
+    ], ids=["bootstrap", "jackknife"])
+    def test_traced_peak_within_four_chunks(self, refits):
+        # A stack's gathered design is CHUNK_BYTES; the kernel's working
+        # set on top of it must stay bounded by a few more stacks.
+        data = golden_study(400, 7)
+        tracemalloc.start()
+        try:
+            refits(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * logitboot.inference.CHUNK_BYTES
 
     def test_bootstrap_quasi_separated_study(self):
         result = self.assert_bootstrap_contract(golden_study(30, 3), None, 300, 11)

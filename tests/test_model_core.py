@@ -34,6 +34,7 @@ from logitboot.model_core import (
     SINGULAR,
     UNBOUNDED,
     _fit_batch,
+    _information_from_probs,
 )
 
 from conftest import GOLDEN_COEFFICIENTS, fd_gradient, random_dataset
@@ -262,6 +263,19 @@ class TestObservedInformation:
             fit = fit_mle(data)
             info = observed_information(fit.coefficients, data)
             assert info @ fit.covariance == pytest.approx(np.eye(k + 1), abs=1e-10)
+
+    @pytest.mark.parametrize("stack", [20, 81])
+    def test_stacked_information_matches_weighted_matmul(self, stack):
+        data = encode(
+            simulate(SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=400, seed=7))
+        )
+        rng = np.random.default_rng(stack)
+        X = data.design[rng.integers(0, 400, size=(stack, 400))]
+        h = rng.random((stack, 400))
+        w = h * (1.0 - h)
+        info = np.matmul(X.swapaxes(-1, -2), X * w[..., None])
+        expected = (info + info.swapaxes(-1, -2)) * 0.5
+        assert _information_from_probs(X, h).tobytes() == expected.tobytes()
 
 
 class TestFitMLE:
