@@ -14,7 +14,11 @@ regenerate any replicate's rows without rerunning the bootstrap.
 Refits run through the stacked Newton kernel of :mod:`logitboot.model_core`
 a chunk at a time: the rows of ``CHUNK_BYTES // (8 n p)`` resamples (at
 least one) are gathered into one ``[chunk, n, p]`` design and fitted
-together, and the jackknife's leave-one-out refits likewise.  Each refit's
+together, and the jackknife's leave-one-out refits likewise.  A run of
+refits allocates its row-index, design and response buffers and the
+kernel's working arrays once, at the longest stack: every stack gathers
+into their leading slices with ``np.take(..., out=...)``, and the kernel
+iterates in them rather than in arrays of its own.  Each refit's
 coefficients are bit-identical to :func:`~logitboot.model_core.fit_mle` on
 its rows alone, so neither the chunk length nor a replicate's neighbours
 change any result.
@@ -48,24 +52,26 @@ from .model_core import (
     FitConfig,
     FitResult,
     _fit_batch,
+    _work,
     fit_mle,
 )
 
 # Refits are stacked this many bytes of gathered design at a time.  A
 # 1000-replicate bootstrap plus the jackknife of a 400 x 4 study, by stack
-# size (2-core x86 host, median of 9; traced peak of the bootstrap):
+# size (2-core x86 host, median of 9; traced peak of the bootstrap, which
+# holds the run's buffers):
 #
 #   bytes     resamples per stack      study   traced peak
 #             n = 400   n = 20 000
-#   256 KiB      20         1          0.23 s   0.96 MiB
-#   512 KiB      40         1          0.20 s   1.83 MiB
-#   1 MiB        81         1          0.18 s   3.62 MiB
-#   2 MiB       163         3          0.19 s   7.22 MiB
+#   256 KiB      20         1          0.19 s   1.02 MiB
+#   512 KiB      40         1          0.19 s   1.89 MiB
+#   1 MiB        81         1          0.17 s   3.69 MiB
+#   2 MiB       163         3          0.17 s   7.29 MiB
 #
 # A 20 000-row resample is 640 000 bytes, so up to 1 MiB such studies are
 # refitted one resample at a time.  2 MiB was rejected: it gained nothing
 # more and raised the boot-study benchmark's peak RSS to 54.4 MB, 21% over
-# the 45.1 MB at 256 KiB (1 MiB: 48.3 MB).
+# the 45.1 MB at 256 KiB (1 MiB, with the run's buffers: 46.3 MB).
 CHUNK_BYTES = 1024 * 1024
 
 MIN_PERCENTILE_REPLICATES = 100
@@ -186,7 +192,10 @@ def resample_indices(master_seed: int, replicate: int, n: int) -> np.ndarray:
         raise DomainError("seeds and replicate indices must be non-negative")
     if n < 1:
         raise DomainError("need at least one row to resample")
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, replicate)))
+    # The generator default_rng(SeedSequence(...)) returns, built directly.
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((master_seed, replicate)))
+    )
     return rng.integers(0, n, size=n)
 
 
@@ -194,25 +203,38 @@ def _refit_all(
     data: EncodedDataset,
     config: FitConfig | None,
     count: int,
-    rows_of: Callable[[np.ndarray], np.ndarray],
+    size: int,
+    fill_rows: Callable[[np.ndarray, np.ndarray], None],
 ) -> tuple[list[int], np.ndarray]:
-    """Refit on ``count`` row subsets of ``data``, numbered ``k < count``.
+    """Refit on ``count`` row subsets of ``data``, numbered ``k < count``,
+    each of ``size`` rows.
 
-    ``rows_of(block)`` takes an array of consecutive ``k`` and returns their
-    row indices, one row of the matrix per ``k``.  Refits run
-    ``CHUNK_BYTES`` of gathered design at a time through the stacked
-    kernel.  Returns the ``k`` of the refits that converged, in order, and
-    their coefficient rows; refits on a single-class subset, separated or
-    singular ones and those out of iterations are left out.
+    ``fill_rows(block, rows)`` takes an array of consecutive ``k`` and
+    writes their row indices into ``rows``, one row of the matrix per
+    ``k``.  Refits run ``CHUNK_BYTES`` of gathered design at a time through
+    the stacked kernel.  The index, design and response buffers and the
+    kernel's working arrays are allocated once, at the longest stack, and
+    every stack uses their leading slices.  Returns the ``k`` of the
+    refits that converged, in order, and their coefficient rows; refits on
+    a single-class subset, separated or singular ones and those out of
+    iterations are left out.
     """
-    chunk = max(1, CHUNK_BYTES // (8 * data.n_observations * data.n_parameters))
+    n, width = data.design.shape
+    chunk = min(count, max(1, CHUNK_BYTES // (8 * n * width)))
+    rows = np.empty((chunk, size), dtype=np.intp)
+    designs = np.empty((chunk, size, width))
+    responses = np.empty((chunk, size))
+    work = _work(chunk, size, width)
     ids, kept = [], []
     for lo in range(0, count, chunk):
         block = np.arange(lo, min(lo + chunk, count))
-        rows = rows_of(block)
-        batch = _fit_batch(
-            np.take(data.design, rows, axis=0), np.take(data.response, rows), config
-        )
+        stack = block.size
+        fill_rows(block, rows[:stack])
+        # Every index is in range, and mode="raise" would gather through a
+        # temporary copy of the output.
+        np.take(data.design, rows[:stack], axis=0, out=designs[:stack], mode="clip")
+        np.take(data.response, rows[:stack], out=responses[:stack], mode="clip")
+        batch = _fit_batch(designs[:stack], responses[:stack], config, work)
         ok = batch.status == CONVERGED
         ids.extend(block[ok].tolist())
         kept.append(batch.coefficients[ok])
@@ -247,14 +269,12 @@ def bootstrap_fit(
         raise DomainError("workers must be at least 1")
     original = fit_mle(data, config)
     n = data.n_observations
-    ids, kept = _refit_all(
-        data,
-        config,
-        replicates,
-        lambda block: np.stack(
-            [resample_indices(master_seed, b, n) for b in block.tolist()]
-        ),
-    )
+
+    def fill_rows(block, rows):
+        for row, b in zip(rows, block.tolist()):
+            row[:] = resample_indices(master_seed, b, n)
+
+    ids, kept = _refit_all(data, config, replicates, n, fill_rows)
     if len(ids) < MIN_SURVIVING_FRACTION * replicates:
         raise ResamplingInstabilityError(
             f"only {len(ids)} of {replicates} bootstrap replicates converged"
@@ -351,9 +371,15 @@ def jackknife_estimates(
     Rows whose refit fails or does not converge are omitted.
     """
     n = data.n_observations
-    # Leaving out row i keeps the indices below i and shifts the rest up one.
     keep = np.arange(n - 1)
-    _, kept = _refit_all(data, config, n, lambda block: keep + (keep >= block[:, None]))
+
+    def fill_rows(block, rows):
+        # Leaving out row i keeps the indices below i and shifts the rest
+        # up one.
+        np.greater_equal(keep, block[:, None], out=rows)
+        rows += keep
+
+    _, kept = _refit_all(data, config, n, n - 1, fill_rows)
     if len(kept) < 2:
         raise InsufficientReplicatesError(
             "fewer than two leave-one-out refits succeeded"

@@ -33,6 +33,17 @@ for ``sum ln(1 + exp(eta))``, ``X' (X w)`` and ``eigh``.  Forms that sum in
 another order (``einsum``, a weighted ``bincount``, an elementwise product
 summed) differ in the last bits and would break that.
 
+The kernel's per-row arrays, eta, e, the probabilities h, the weights w
+and the weighted design W X, are working arrays allocated once per call;
+the bootstrap and the jackknife allocate them once per run of refits and
+hand them to every stack.  Each iterate writes into their leading slices
+through the ``out`` buffers of ``_evaluate``, ``_probabilities`` and
+``_information_from_probs``, the one routine of each step, which allocate
+for themselves when given none.  The default zero start needs no
+evaluation: at theta = 0 every probability is 1/2 and the log-likelihood is
+0 minus the pairwise sum of n copies of log1p(1), the bits ``_evaluate``
+gives.
+
 Numerical policy: probabilities never exponentiate a large positive
 argument.  Every evaluation takes ``e = exp(-|eta|)`` once and derives
 the rest from it: the sigmoid is ``1 / (1 + e)`` for ``eta >= 0`` and
@@ -209,24 +220,37 @@ class FitResult:
         object.__setattr__(self, "column_names", tuple(self.column_names))
 
 
-def _probabilities(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _probabilities(eta: np.ndarray, e: np.ndarray, out=None) -> np.ndarray:
     # Given e = exp(-|eta|) the sigmoid is 1 / (1 + e) for eta >= 0 and
     # e / (1 + e) below, so no positive argument is exponentiated.  As
-    # e <= 1, the numerator max(e, eta >= 0) is 1 or e accordingly.
-    out = np.maximum(e, eta >= 0) / (1.0 + e)
+    # e <= 1, the numerator max(e, eta >= 0) is 1 or e accordingly.  ``out``
+    # is an optional pair of buffers shaped like eta, for the result and
+    # for 1 + e.
+    h, den = (None, None) if out is None else out
+    h = np.maximum(e, eta >= 0, out=h)
+    np.divide(h, np.add(1.0, e, out=den), out=h)
     # Keep the output strictly inside (0, 1) even where exp() underflows.
-    np.clip(out, _P_LO, _P_HI, out=out)
-    return out
+    np.clip(h, _P_LO, _P_HI, out=h)
+    return h
 
 
-def _evaluate(designs: np.ndarray, theta: np.ndarray, y: np.ndarray):
+def _evaluate(designs: np.ndarray, theta: np.ndarray, y: np.ndarray, out=None):
     # (eta, e = exp(-|eta|), log-likelihood) of one problem or a stack, by
     # the routines of a 2-d design @ theta and a 1-d y @ eta (module
     # docstring); ln(1 + exp(eta)) = max(eta, 0) + log1p(e) sums by row.
-    eta = np.matmul(designs, theta[..., None])[..., 0]
-    e = np.exp(-np.abs(eta))
+    # ``out`` is an optional set of four buffers shaped like eta: eta, e
+    # and two for the per-row terms.
+    if out is None:
+        out = (np.empty(designs.shape[:-1]), None, None, None)
+    eta, e, terms, scratch = out
+    np.matmul(designs, theta[..., None], out=eta[..., None])
+    e = np.abs(eta, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     y_eta = np.matmul(y[..., None, :], eta[..., None])[..., 0, 0]
-    return eta, e, y_eta - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=-1)
+    terms = np.maximum(eta, 0.0, out=terms)
+    terms += np.log1p(e, out=scratch)
+    return eta, e, y_eta - terms.sum(axis=-1)
 
 
 def sigmoid(eta):
@@ -318,18 +342,20 @@ def observed_information(coefficients, data: EncodedDataset) -> np.ndarray:
     return _information_from_probs(data.design, h)
 
 
-def _information_from_probs(design: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # X' W X for one design or a stack of them.  Each row's weight is
-    # repeated across its p cells, so W X is one flat elementwise product
-    # with the same factors as design * w[..., None].  The product is
-    # written into the repeated weights because NumPy reuses a temporary
-    # in place only from 256 KiB up: below that a plain product holds a
-    # second design-sized array.
-    n, p = design.shape[-2:]
-    w = h * (1.0 - h)
-    flat = np.repeat(w, p, axis=-1)
-    np.multiply(design.reshape(*design.shape[:-2], n * p), flat, out=flat)
-    info = np.matmul(design.swapaxes(-1, -2), flat.reshape(design.shape))
+def _information_from_probs(design: np.ndarray, h: np.ndarray, out=None):
+    # X' W X for one design or a stack of them.  ``out`` is an optional
+    # pair of buffers: one shaped like h for w = h (1 - h), one shaped like
+    # the design for W X.  Each row's weight is copied into its p cells
+    # first, so W X is one flat elementwise product with the same factors
+    # as design * w[..., None]; broadcasting w would run NumPy's loop p
+    # cells at a time.
+    w, wx = (None, np.empty(design.shape)) if out is None else out
+    w = np.subtract(1.0, h, out=w)
+    w *= h
+    for j in range(design.shape[-1]):
+        wx[..., j] = w
+    wx *= design
+    info = np.matmul(design.swapaxes(-1, -2), wx)
     # Symmetrize to wash out last-bit asymmetry from the matmul.
     return (info + info.swapaxes(-1, -2)) * 0.5
 
@@ -373,8 +399,34 @@ class _Batch(NamedTuple):
     eigenvectors: np.ndarray  # (B, p, p)
 
 
+def _zero_start(h: np.ndarray) -> np.ndarray:
+    """Write the probabilities at ``theta = 0`` of a ``(B, n)`` stack into
+    ``h`` and return its ``B`` log-likelihoods.
+
+    Every eta is 0 there, so e = 1, each probability is 1/2, y . eta is 0
+    and each row adds 0 + log1p(1) to the log-likelihood's pairwise sum.
+    These are the bits :func:`_evaluate` and :func:`_probabilities` give,
+    without a matmul, an ``exp`` or a ``log1p`` over the rows.
+    """
+    terms = h[0]
+    terms.fill(np.log1p(1.0))
+    loglik = np.full(h.shape[0], 0.0 - terms.sum())
+    h.fill(0.5)
+    return loglik
+
+
+def _work(count: int, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Working arrays for :func:`_fit_batch` on up to ``count`` slices of
+    up to ``n`` rows and ``width`` columns: four flat n-vector rows (eta,
+    e, h, w) and one flat design-sized array (W X)."""
+    return np.empty((4, count * n)), np.empty(count * n * width)
+
+
 def _fit_batch(
-    designs: np.ndarray, responses: np.ndarray, config: FitConfig | None = None
+    designs: np.ndarray,
+    responses: np.ndarray,
+    config: FitConfig | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _Batch:
     """Newton-Raphson on a stack of problems ``designs[B, n, p]``,
     ``responses[B, n]``, all slices at once.
@@ -387,23 +439,43 @@ def _fit_batch(
     then ``NOT_CONVERGED`` at the budget.  It is the only place a result
     is written, and the live arrays are compacted only then, so a stack
     whose slices all stay live, a single problem in particular, is never
-    copied.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood and
-    then its probabilities, so each evaluated iterate costs one ``exp``.
+    copied.  With ``work`` given, ``designs`` and ``responses`` are working
+    arrays too: compaction moves live slices into retired ones' places
+    within them instead of copying the stack.  An iterate's
+    ``e = exp(-|eta|)`` serves its log-likelihood and then its
+    probabilities, so each evaluated iterate costs one ``exp``.
     A halving pass halves the short slices' steps and re-evaluates the
     whole live stack; an accepted slice's candidate is unchanged, so it
     evaluates to the same bits again.
+
+    Every per-row array lives in ``work`` (see :func:`_work`), allocated
+    here when not given; the live slices use its leading entries, whatever
+    values earlier stacks left there.  The default zero start is evaluated
+    in closed form (:func:`_zero_start`).
     """
     if config is None:
         config = FitConfig()
     count, n, width = designs.shape
+    vectors, products = _work(count, n, width) if work is None else work
+
+    def buffers(live):
+        # The eta, e, h and w rows and the W X array of `live` slices.
+        rows = vectors[:, : live * n].reshape(4, live, n)
+        return rows, products[: live * n * width].reshape(live, n, width)
+
+    (eta, e, h, w), wx = buffers(count)
     theta = np.zeros((count, width))
-    if config.initial_coefficients is not None:
+    if config.initial_coefficients is None:
+        loglik = _zero_start(h)
+    else:
         start = np.array(config.initial_coefficients, dtype=float)
         if start.shape != (width,):
             raise DimensionMismatchError(
                 f"expected {width} initial coefficients, got {start.shape[0]}"
             )
         theta[:] = start
+        eta, e, loglik = _evaluate(designs, theta, responses, (eta, e, h, w))
+        h = _probabilities(eta, e, (h, w))
     out = _Batch(
         coefficients=np.empty((count, width)),
         log_likelihood=np.empty(count),
@@ -417,12 +489,11 @@ def _fit_batch(
     # slots maps each live slice to its place in the stack.
     slots = np.arange(count)
     X, y = designs, responses
-    eta, e, loglik = _evaluate(X, theta, y)
     iterations = 0
     while slots.size:
-        h = _probabilities(eta, e)
-        grad = np.matmul(X.swapaxes(1, 2), (y - h)[..., None])[..., 0]
-        info = _information_from_probs(X, h)
+        residual = np.subtract(y, h, out=w)
+        grad = np.matmul(X.swapaxes(1, 2), residual[..., None])[..., 0]
+        info = _information_from_probs(X, h, (w, wx))
         # An iterate that overflowed, say after a step through information
         # too close to zero to invert, has non-finite information.  One
         # such matrix would make eigh fail for the whole stack, so a zero
@@ -451,16 +522,32 @@ def _fit_batch(
             out.status[at] = fate[done]
             out.eigenvalues[at] = lam[done]
             out.eigenvectors[at] = vec[done]
-            keep = ~done
-            slots, single, X, y, theta, loglik, grad, lam, vec = (
-                a[keep] for a in (slots, single, X, y, theta, loglik, grad, lam, vec)
-            )
-            if not slots.size:
+            live = np.count_nonzero(~done)
+            if not live:
                 break
+            # The live slices from past the first `live` places fill the
+            # retired ones among them, so a slice moves at most once.
+            order = np.arange(live)
+            holes = np.flatnonzero(done[:live])
+            order[holes] = np.flatnonzero(~done[live:]) + live
+            if work is None:
+                # The caller's stack is left as it was given.
+                X, y = X[order], y[order]
+            else:
+                for dst, src in zip(holes.tolist(), order[holes].tolist()):
+                    X[dst] = X[src]
+                    y[dst] = y[src]
+                X, y = X[:live], y[:live]
+            slots, single, theta, loglik, grad, lam, vec = (
+                a[order] for a in (slots, single, theta, loglik, grad, lam, vec)
+            )
+            (eta, e, h, w), wx = buffers(live)
         ratios = np.matmul(vec.swapaxes(1, 2), grad[..., None]) / lam[..., None]
         step = np.matmul(vec, ratios)[..., 0]
         candidate = theta + step
-        eta, e, cand_loglik = _evaluate(X, candidate, y)
+        # h and w are free until the accepted candidate's probabilities, so
+        # they hold the log-likelihood's per-row terms.
+        eta, e, cand_loglik = _evaluate(X, candidate, y, (eta, e, h, w))
         # Halve only on decreases beyond the rounding noise of the
         # log-likelihood; reacting to one-ulp regressions near the optimum
         # would defeat Newton's quadratic tail.
@@ -472,10 +559,11 @@ def _fit_batch(
         while short.any() and halvings < MAX_STEP_HALVINGS:
             step[short] *= 0.5
             candidate = theta + step
-            eta, e, cand_loglik = _evaluate(X, candidate, y)
+            eta, e, cand_loglik = _evaluate(X, candidate, y, (eta, e, h, w))
             short = cand_loglik < loglik - slack
             halvings += 1
         theta, loglik = candidate, cand_loglik
+        h = _probabilities(eta, e, (h, w))
         iterations += 1
     return out
 

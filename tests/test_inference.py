@@ -90,6 +90,22 @@ class TestResampleIndices:
         rng = np.random.default_rng(np.random.SeedSequence((5, 9)))
         assert np.array_equal(resample_indices(5, 9, 50), rng.integers(0, 50, size=50))
 
+    @pytest.mark.parametrize("master_seed, replicate, n", [
+        (0, 0, 1),
+        (11, 210, 30),
+        (2**32, 7, 400),
+        (3, 2**32 + 1, 400),
+        (2**63 + 5, 2**40, 20_000),
+    ])
+    def test_default_rng_recipe_at_large_seeds_and_ids(
+        self, master_seed, replicate, n
+    ):
+        rng = np.random.default_rng(np.random.SeedSequence((master_seed, replicate)))
+        expected = rng.integers(0, n, size=n)
+        got = resample_indices(master_seed, replicate, n)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             resample_indices(-1, 0, 10)
@@ -206,8 +222,8 @@ class TestStackedRefits:
         return result
 
     def test_bootstrap_every_id_across_chunk_boundaries(self):
-        # 256 KiB holds 20 resamples of a 400 x 4 design: 67 replicates make
-        # three full chunks and a partial fourth.
+        # 67 replicates of a 400 x 4 design: one partial stack at 1 MiB,
+        # three full stacks and a partial fourth at 256 KiB.
         self.assert_bootstrap_contract(golden_study(400, 7), None, 67, 5)
 
     def test_bootstrap_every_id_across_chunk_bytes_boundaries(self):

@@ -33,8 +33,12 @@ from logitboot.model_core import (
     SINGLE_CLASS,
     SINGULAR,
     UNBOUNDED,
+    _evaluate,
     _fit_batch,
     _information_from_probs,
+    _probabilities,
+    _work,
+    _zero_start,
 )
 
 from conftest import GOLDEN_COEFFICIENTS, fd_gradient, random_dataset
@@ -513,6 +517,61 @@ def test_single_class_stack_retires_at_the_start():
         assert batch.coefficients[k].tolist() == list(start)
         data = EncodedDataset(designs[k], responses[k])
         assert batch.log_likelihood[k] == log_likelihood(start, data)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 399, 400, 20_000])
+def test_zero_start_matches_evaluation_at_zero(n):
+    """The closed-form start has the bits of evaluating theta = 0, across
+    the block edges of NumPy's pairwise sum."""
+    rng = np.random.default_rng(n)
+    designs = np.concatenate(
+        [np.ones((3, n, 1)), rng.normal(scale=40.0, size=(3, n, 3))], axis=2
+    )
+    responses = (rng.random((3, n)) < 0.4).astype(float)
+    eta, e, expected = _evaluate(designs, np.zeros((3, 4)), responses)
+    h = np.full((3, n), np.nan)
+    loglik = _zero_start(h)
+    assert loglik.tobytes() == expected.tobytes()
+    assert h.tobytes() == _probabilities(eta, e).tobytes()
+    # The one-problem route of log_likelihood gives the same value.
+    alone = _evaluate(designs[0], np.zeros(4), responses[0])[2]
+    assert loglik[0] == alone
+
+
+@pytest.mark.parametrize("config", [
+    FitConfig(),
+    FitConfig(max_iterations=1),
+    FitConfig(initial_coefficients=(0.5, -0.02, 0.3, -0.1)),
+])
+def test_reused_work_matches_a_fresh_kernel(config):
+    """Working arrays left over from a larger stack, from the jackknife's
+    n - 1 rows, or filled with NaN give the bytes of a fresh call, on a
+    stack whose slices retire at different iterates."""
+    designs, responses = mixed_chunk()
+    fresh = _fit_batch(designs, responses, config)
+    count, n, width = designs.shape
+    work = _work(count + 3, n, width)
+
+    def fill_with_nan():
+        for array in work:
+            array.fill(np.nan)
+
+    larger = np.random.default_rng(1).integers(0, count, size=count + 3)
+    # With work given the kernel reorders the stack in place, so every
+    # call gets a stack of its own.
+    for before in (
+        lambda: _fit_batch(designs[larger], responses[larger], config, work),
+        lambda: _fit_batch(
+            designs[:, 1:].copy(), responses[:, 1:].copy(), config, work
+        ),
+        fill_with_nan,
+    ):
+        with np.errstate(all="ignore"):
+            before()
+        batch = _fit_batch(designs.copy(), responses.copy(), config, work)
+        for field in fresh._fields:
+            assert getattr(batch, field).tobytes() == \
+                getattr(fresh, field).tobytes(), field
 
 
 class TestNonFiniteIterate:
