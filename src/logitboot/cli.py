@@ -15,12 +15,13 @@ byte-identical across runs.
 
 Exit codes: 0 success, 1 usage error, 2 degenerate response, 3 numerical
 failure (separation, singular information, or non-convergence), 4 input
-file or parse error.
+file or parse error, or a stdout that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -546,4 +547,21 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run ``main`` as a process: the ``logitboot`` script and ``python -m logitboot``."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError:
+        # main turns every other OSError into a document, so this one is
+        # stdout's own write failing (a closed pipe, a full disk).  Point fd 1
+        # at devnull, as the signal module's note on SIGPIPE does, so that the
+        # flush at shutdown cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_IO
+    # The process ends here: let the collections at shutdown skip every
+    # object made so far (NumPy's and this package's import graph) instead of
+    # walking it.  atexit handlers and the stdio flush still run.
+    gc.freeze()
+    sys.exit(code)

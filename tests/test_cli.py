@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,3 +448,90 @@ class TestNumpyOnlyRuntime:
                                "--ci-level", "0.9999999999999999")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+# A curves document of about 380 KB, well past a 64 KiB pipe buffer.
+LARGE_CURVES = ("curves", "--coefficients", GOLDEN_FLAG, "--age-step", "0.1")
+
+
+class TestProcessExit:
+    """``entry`` is the one exit path of a CLI process; ``main`` is not."""
+
+    def spawn(self, args, launcher=("-m", "logitboot"), **kwargs):
+        env = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
+        env.pop("LOGITBOOT_SEED", None)
+        return subprocess.Popen([sys.executable, *launcher, *args], env=env,
+                                stderr=subprocess.PIPE, **kwargs)
+
+    def test_stdout_pipe_closed_early(self):
+        with self.spawn(LARGE_CURVES, stdout=subprocess.PIPE) as proc:
+            assert proc.stdout.read(20) == b'{\n  "manifest": {\n  '
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.EXIT_IO
+        assert b"Traceback" not in err, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_on_a_full_device(self):
+        with open("/dev/full", "wb") as full, self.spawn(LARGE_CURVES, stdout=full) as proc:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.EXIT_IO
+        assert b"Traceback" not in err, err
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert cli.main(list(LARGE_CURVES)) == 0
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    @pytest.mark.parametrize("args", [
+        LARGE_CURVES,
+        ("simulate", "--coefficients", GOLDEN_FLAG, "--n", "20000", "--seed", "5"),
+    ])
+    def test_launcher_freezes_and_keeps_every_byte(self, args, tmp_path,
+                                                   capsys, monkeypatch):
+        if args[0] == "simulate":
+            args = (*args, "--out", str(tmp_path / "sim.csv"))
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        assert cli.main(list(args)) == 0
+        expected = capsys.readouterr().out.encode()
+        written = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in written:
+            p.unlink()
+
+        hooked = (
+            "-c",
+            "import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: sys.stderr.write("
+            "f'atexit freeze count {gc.get_freeze_count()}\\n')); "
+            "runpy.run_module('logitboot', run_name='__main__', alter_sys=True)",
+        )
+        proc = self.spawn(args, launcher=hooked, stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        label, count = err.decode().splitlines()[-1].rsplit(" ", 1)
+        assert label == "atexit freeze count" and int(count) > 0
+        assert out == expected
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+class TestLaunchers:
+    # Both launchers must leave through entry, the path that freezes the
+    # heap and survives a broken stdout.
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_dunder_main_calls_entry(self):
+        tree = ast.parse((self.ROOT / "src" / "logitboot" / "__main__.py").read_text())
+        imports = {(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names}
+        calls = [node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert ("cli", "entry") in imports
+        assert calls == ["entry"]
+
+    def test_console_script_is_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(self.ROOT / "pyproject.toml", "rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["scripts"]["logitboot"] == "logitboot.cli:entry"
