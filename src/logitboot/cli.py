@@ -6,7 +6,8 @@ package version, timestamp, the configuration (every option of the
 subcommand except ``--input``, in declaration order, as parsed) and, for
 subcommands that read a CSV, the input path.  A successful run adds the
 results after it; a failed one adds an ``error`` block.  Warnings (ignored
-CSV columns, dropped bootstrap replicates) go to stderr.
+CSV columns, a single-class response, dropped bootstrap replicates) go to
+stderr as ``warning: <message>`` lines.
 
 Determinism: all randomness flows from explicit seeds (``--seed``, with the
 ``LOGITBOOT_SEED`` environment variable as fallback default), and setting
@@ -25,6 +26,7 @@ import gc
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -89,6 +91,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    # argparse drops a write that fails.  One to stdout (--help, --version)
+    # is let through, so that entry ends the run with EXIT_IO.
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _timestamp() -> str:
@@ -397,7 +407,7 @@ def _cmd_simulate(args):
         # NumPy's answers to a size it cannot allocate (MemoryError) or
         # index (ValueError); spec's checks leave no other ValueError.
         raise DomainError(f"--n {spec.n} is too many rows to draw") from None
-    _write_csv(args.out, *(c.tolist() for c in columns))
+    _write_csv(args.out, *columns)
     payload = {
         "output": args.out,
         "records": spec.n,
@@ -498,6 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # A run's warnings read like its other stderr lines.  Python's own
+    # format would cite a line of this package, so stderr would depend on
+    # where the package is installed.
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _error(exc: Exception) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
@@ -528,7 +545,9 @@ def main(argv=None) -> int:
     try:
         if failure is not None:
             raise failure
-        payload, code = args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            payload, code = args.handler(args)
     except DegenerateResponseError as exc:
         payload, code = _error(exc), EXIT_DEGENERATE
     except (
@@ -549,7 +568,12 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run ``main`` as a process: the ``logitboot`` script and ``python -m logitboot``."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            # argparse's own exits: --help and --version print to stdout and
+            # leave with 0, a usage error leaves with EXIT_USAGE.
+            code = exc.code
         sys.stdout.flush()
     except OSError:
         # main turns every other OSError into a document, so this one is

@@ -21,7 +21,9 @@ with vector masks; on a fault, ``_row_fault`` explains the first faulty
 row from its ``csv.reader`` cells, and it is the one place the parse
 messages live.  ``_simulate_columns`` draws a study as columns,
 ``_encoded`` stacks columns into an :class:`EncodedDataset` and
-``_write_csv`` writes columns under a header, by default the study's.
+``_write_csv`` writes columns under a header, by default the study's; a
+study's own arrays are written from the ages' ``repr`` and one of eight
+precomputed flag tails per row.
 The CLI uses these alone.  :class:`ObservationRecord` lists exist only at
 the public wrappers :func:`load_csv`, :func:`encode`, :func:`save_csv`,
 :func:`simulate` and :func:`decode`.
@@ -309,14 +311,44 @@ def load_csv(path) -> list[ObservationRecord]:
     return _records(_read_columns(path))
 
 
+# The row tails ",g,e,y\r\n" of the study layout, indexed by 4g + 2e + y.
+_FLAG_TAILS = np.array(
+    [f",{g},{e},{y}\r\n" for g in (0, 1) for e in (0, 1) for y in (0, 1)], dtype=object
+)
+
+
+def _study_tails(columns):
+    """Each row's tail when ``columns`` are a study's float64 ages and 1-D
+    integer Gender, Emp and HIV arrays holding only 0 and 1; None otherwise.
+    """
+    if len(columns) != 4 or not all(isinstance(c, np.ndarray) for c in columns):
+        return None
+    age, *flags = columns
+    if (age.dtype != np.float64 or age.ndim != 1
+            or any(f.dtype.kind not in "iu" or f.shape != age.shape for f in flags)
+            or not all(((f == 0) | (f == 1)).all() for f in flags)):
+        return None
+    gender, employment, hiv = flags
+    return _FLAG_TAILS[4 * gender + 2 * employment + hiv]
+
+
 def _write_csv(path, *columns, header=("Age", "Gender", "Emp", "HIV")) -> None:
     # The bytes csv.writer would write: format() gives a float, NumPy's
     # float64 included, the shortest text that parses back to the same
-    # value, so a load round-trips, and no cell needs quoting.
-    row = (",".join(["{}"] * len(header)) + "\r\n").format
+    # value, so a load round-trips, and no cell needs quoting.  That text is
+    # the float's repr, and a 0/1 integer's is "0" or "1", so a study's rows
+    # are written as the ages' reprs, each followed by a precomputed tail.
+    tails = _study_tails(columns)
+    if tails is None:
+        row = (",".join(["{}"] * len(header)) + "\r\n").format
+        body = map(row, *columns)
+    else:
+        body = [None] * (2 * len(tails))
+        body[::2] = map(repr, columns[0].tolist())
+        body[1::2] = tails.tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.write("".join(map(row, *columns)))
+        handle.write("".join(body))
 
 
 def save_csv(records: Sequence[ObservationRecord], path) -> None:

@@ -34,7 +34,7 @@ interpolation between order statistics: the level-``q`` quantile sits at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -80,7 +80,14 @@ MIN_BCA_REPLICATES = 1000
 # Below this surviving fraction the resampling distribution is untrustworthy.
 MIN_SURVIVING_FRACTION = 0.5
 
-_STANDARD_NORMAL = NormalDist()
+
+@cache
+def _standard_normal():
+    # statistics brings in decimal, fractions and random, a few ms per
+    # process, so it is imported by the first Wald or BCa interval.
+    from statistics import NormalDist
+
+    return NormalDist()
 
 
 @dataclass(frozen=True)
@@ -312,7 +319,7 @@ def wald_ci(fit: FitResult, level: float = 0.95) -> list[IntervalEstimate]:
     _check_level(level)
     if not fit.converged:
         raise NotConvergedError("Wald intervals require a converged fit")
-    z = _STANDARD_NORMAL.inv_cdf((1.0 + level) / 2.0)
+    z = _standard_normal().inv_cdf((1.0 + level) / 2.0)
     out = []
     for j, (theta, se) in enumerate(zip(fit.coefficients, fit.standard_errors)):
         out.append(
@@ -467,7 +474,7 @@ def bca_ci(
         fraction = below / column.size
         # All replicates on one side: z0 is undefined; keep the plain tails.
         fallback = fraction in (0.0, 1.0)
-        z0 = None if fallback else _STANDARD_NORMAL.inv_cdf(fraction)
+        z0 = None if fallback else _standard_normal().inv_cdf(fraction)
     else:
         z0 = float(bias_correction)
     if not fallback:
@@ -478,9 +485,9 @@ def bca_ci(
         # When z0 = a = 0 the adjustment is the identity; the plain tails
         # are kept so the degenerate case matches percentile_ci bit for bit.
         if z0 != 0.0 or a != 0.0:
-            z = np.array([_STANDARD_NORMAL.inv_cdf(p) for p in tails])
+            z = np.array([_standard_normal().inv_cdf(p) for p in tails])
             adjusted = z0 + (z0 + z) / (1.0 - a * (z0 + z))
-            tails = [_STANDARD_NORMAL.cdf(float(v)) for v in adjusted]
+            tails = [_standard_normal().cdf(float(v)) for v in adjusted]
     lower, upper = np.quantile(column, tails)
     return IntervalEstimate(
         coefficient_index=coefficient_index,

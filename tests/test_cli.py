@@ -143,6 +143,15 @@ class TestSimulateOutBytes:
         assert doc["records"] == n
         assert doc["positive_fraction"] == sum(r.hiv for r in records) / n
 
+    def test_large_out_file_matches_save_csv(self, tmp_path):
+        spec = SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=200_000, seed=15)
+        path = tmp_path / "sim.csv"
+        code, _, err = run_cli("simulate", "--coefficients", GOLDEN_FLAG, "--n", "200000",
+                               "--seed", "15", "--out", str(path))
+        assert code == 0, err
+        save_csv(simulate(spec), tmp_path / "lib.csv")
+        assert (tmp_path / "lib.csv").read_bytes() == path.read_bytes()
+
 
 class TestBootstrapCLI:
     def test_byte_identical_output(self, study_csv):
@@ -359,6 +368,22 @@ class TestExitCodes:
         assert code == 0
         assert "PMOT" in err
 
+    def test_warnings_print_without_source_locations(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        cells = [(20, 0, 0, 1), (21, 1, 1, 1), (22, 0, 0, 0), (23, 1, 1, 0),
+                 (24, 0, 1, 1), (25, 1, 0, 0), (26, 0, 1, 0), (27, 1, 0, 1)]
+        rows = "".join(f"{a},{g},{e},{h},x\n" for a, g, e, h in cells)
+        path.write_text(f"Age,Gender,Emp,HIV,Note\n{rows}")
+        code, _, err = run_cli("fit", "--input", str(path))
+        assert code == 0
+        assert err == f"warning: {path}: ignoring unrecognized column(s): Note\n"
+
+        path.write_text("Age,Gender,Emp,HIV\n" + "".join(
+            f"{a},{g},{e},1\n" for a, g, e, _ in cells))
+        code, out, err = run_cli("fit", "--input", str(path))
+        assert code == 2, out
+        assert err == "warning: response contains a single class; fitting will fail\n"
+
 
 class TestUnreadableInputs:
     """Input that fails below the package's own checks still ends in an
@@ -440,6 +465,21 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_every_submodule_and_not_statistics(self):
+        # statistics (with decimal and fractions) waits for the first Wald or
+        # BCa interval; the package itself is not lazy.
+        probe = (
+            "import sys, logitboot; "
+            "names = ['numpy', 'logitboot.model_core', 'logitboot.inference', "
+            "'logitboot.validation', 'logitboot.data_io', "
+            "'statistics', 'decimal', 'fractions']; "
+            "print([name in sys.modules for name in names])"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([True] * 5 + [False] * 3)
+
     @pytest.mark.parametrize("method", ["wald", "percentile", "bca", "all"])
     def test_wald_level_one_ulp_below_one_is_usage_error(self, study_csv, method):
         # (1 + level) / 2 rounds to 1.0, so the normal quantile is infinite.
@@ -477,6 +517,24 @@ class TestProcessExit:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == cli.EXIT_IO
         assert b"Traceback" not in err, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("args", [("--help",), ("--version",), ("fit", "--help")])
+    def test_argparse_output_on_a_full_device(self, args, unbuffered, monkeypatch):
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        with open("/dev/full", "wb") as full, self.spawn(args, stdout=full) as proc:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.EXIT_IO
+        assert b"Traceback" not in err, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_usage_error_with_a_full_stdout(self):
+        with open("/dev/full", "wb") as full, self.spawn(("fit",), stdout=full) as proc:
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == cli.EXIT_USAGE
+        assert err.startswith("usage: logitboot fit ")
+        assert "error: the following arguments are required: --input" in err
 
     def test_main_leaves_the_collector_alone(self, capsys):
         frozen, enabled = gc.get_freeze_count(), gc.isenabled()

@@ -31,6 +31,7 @@ from logitboot.data_io import (
     _plain_table,
     _read_columns,
     _simulate_columns,
+    _study_tails,
     _write_csv,
 )
 
@@ -310,6 +311,61 @@ def test_writer_matches_csv_writer(tmp_path):
             writer.writerow(header)
             writer.writerows(zip(*body))
         assert join.read_bytes() == reference.read_bytes()
+
+
+def csv_writer_bytes(path, header, columns) -> bytes:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+    return path.read_bytes()
+
+
+class TestStudyWriter:
+    """The study layout's fast path writes the bytes csv.writer would, and
+    only float64 ages with 0/1 integer flag arrays take it."""
+
+    HEADER = ("Age", "Gender", "Emp", "HIV")
+    AGES = [0.0, -0.0, 5e-324, 1e-05, 0.1, 89.99999999999999, 130.0]
+
+    def check(self, tmp_path, columns, fast):
+        assert (_study_tails(columns) is not None) == fast
+        _write_csv(tmp_path / "fast.csv", *columns)
+        expected = csv_writer_bytes(tmp_path / "reference.csv", self.HEADER,
+                                    [list(c) for c in columns])
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+
+    def test_edge_ages_with_every_flag_combination(self, tmp_path):
+        rng = np.random.default_rng(15)
+        ages = np.array(self.AGES + rng.uniform(0.0, 130.0, 1000).tolist())
+        combos = np.array([(g, e, y) for g in (0, 1) for e in (0, 1) for y in (0, 1)])
+        flags = combos[np.arange(ages.size) % 8].T
+        self.check(tmp_path, (ages, *flags), fast=True)
+
+    @pytest.mark.parametrize("age", AGES)
+    @pytest.mark.parametrize("code", range(8))
+    def test_one_row(self, tmp_path, age, code):
+        flags = (np.array([bit], np.int64) for bit in (code >> 2, code >> 1 & 1, code & 1))
+        self.check(tmp_path, (np.array([age]), *flags), fast=True)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32])
+    def test_other_integer_widths(self, tmp_path, dtype):
+        columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=50, seed=1))
+        self.check(tmp_path, (columns.age, *(c.astype(dtype) for c in columns[1:])),
+                   fast=True)
+
+    def test_other_flags_take_the_generic_join(self, tmp_path):
+        columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=50, seed=1))
+        with_two, with_minus_one = columns.gender.copy(), columns.gender.copy()
+        with_two[7], with_minus_one[7] = 2, -1
+        for gender in (with_two, with_minus_one, columns.gender.astype(bool),
+                       columns.gender.astype(float), columns.gender.tolist()):
+            self.check(tmp_path, (columns.age, gender, *columns[2:]), fast=False)
+
+    def test_other_ages_take_the_generic_join(self, tmp_path):
+        columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=50, seed=1))
+        self.check(tmp_path, (columns.age.tolist(), *columns[1:]), fast=False)
+        assert _study_tails((columns.age.astype(np.float32), *columns[1:])) is None
 
 
 class TestEncode:
