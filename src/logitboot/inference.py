@@ -10,6 +10,12 @@ can be regenerated bit for bit on its own:
 
 :func:`resample_indices` exposes exactly that recipe so external code can
 regenerate any replicate's rows without rerunning the bootstrap.
+:func:`bootstrap_fit` draws a whole stack's indices as one block, equal to
+the recipe bit for bit: the seed words of every replicate come from one
+vectorized pass of the ``SeedSequence`` hash, each PCG64 stream is read as
+raw 64-bit words, and their 32-bit halves map to indices by Lemire's
+multiply-shift, as ``integers`` maps them.  A replicate whose draws NumPy
+would reject and redraw is drawn by the recipe itself.
 
 Refits run through the stacked Newton kernel of :mod:`logitboot.model_core`
 a chunk at a time: the rows of ``CHUNK_BYTES // (8 n p)`` resamples (at
@@ -33,6 +39,7 @@ interpolation between order statistics: the level-``q`` quantile sits at
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -88,6 +95,23 @@ def _standard_normal():
     from statistics import NormalDist
 
     return NormalDist()
+
+
+@cache
+def _pcg64_from_words():
+    # numpy.random is imported by the first bootstrap, not with the package.
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        # PCG64 asks its seed sequence for exactly four 64-bit words.
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: PCG64(SeedWords(words))
 
 
 @dataclass(frozen=True)
@@ -188,15 +212,22 @@ class OddsReport:
     scaled: tuple[ScaledOddsEntry, ...] = ()
 
 
+def _check_seed(master_seed: int, replicate: int) -> None:
+    if master_seed < 0 or replicate < 0:
+        raise DomainError("seeds and replicate indices must be non-negative")
+
+
 def resample_indices(master_seed: int, replicate: int, n: int) -> np.ndarray:
     """Row indices drawn by bootstrap replicate ``replicate``.
 
     Deterministic function of its arguments: a PCG64 generator is seeded
     with ``SeedSequence((master_seed, replicate))`` and asked for ``n``
-    integers uniform on ``[0, n)``.
+    integers uniform on ``[0, n)``.  :func:`bootstrap_fit` draws its
+    replicates a stack at a time as one block, equal to this recipe bit for
+    bit; a stack's replicates that the block cannot draw exactly are drawn
+    here.
     """
-    if master_seed < 0 or replicate < 0:
-        raise DomainError("seeds and replicate indices must be non-negative")
+    _check_seed(master_seed, replicate)
     if n < 1:
         raise DomainError("need at least one row to resample")
     # The generator default_rng(SeedSequence(...)) returns, built directly.
@@ -204,6 +235,109 @@ def resample_indices(master_seed: int, replicate: int, n: int) -> np.ndarray:
         np.random.PCG64(np.random.SeedSequence((master_seed, replicate)))
     )
     return rng.integers(0, n, size=n)
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hasher(constant: int, multiplier: int):
+    """SeedSequence's ``hashmix`` on uint32 arrays; each call advances the
+    hash constant, as NumPy's loop does."""
+
+    def hashmix(value):
+        nonlocal constant
+        value = value ^ constant
+        constant = constant * multiplier & 0xFFFFFFFF
+        value *= constant
+        value ^= value >> 16
+        return value
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    result ^= result >> 16
+    return result
+
+
+def _seed_words(master_seed: int, ids: np.ndarray) -> np.ndarray:
+    """``SeedSequence((master_seed, b)).generate_state(4, np.uint64)`` for
+    every ``b`` in ``ids`` (each below ``2**32``), one row each.
+
+    NumPy's entropy mixing, run for all ids at once in wrapping uint32
+    arithmetic.  The entropy words are ``master_seed``'s 32-bit limbs, least
+    significant first (``[0]`` for 0), followed by ``b``.
+    """
+    seed = operator.index(master_seed)
+    limbs = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        limbs.append(seed & 0xFFFFFFFF)
+    entropy = np.empty((len(limbs) + 1, ids.size), dtype=np.uint32)
+    entropy[:-1] = np.array(limbs, dtype=np.uint32)[:, None]
+    entropy[-1] = ids
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool += [hashmix(np.zeros(ids.size, dtype=np.uint32))
+             for _ in range(_POOL_SIZE - len(pool))]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # Entropy beyond the pool is hashed in after the pool's own mixing.
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state cycles the pool into eight 32-bit words, then pairs
+    # them low word first into four 64-bit words.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return np.stack([low | high << 32 for low, high in zip(halves[::2], halves[1::2])],
+                    axis=1)
+
+
+def _resample_rows(
+    master_seed: int, ids: np.ndarray, n: int
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``fill_rows`` for :func:`_refit_all` that writes
+    ``resample_indices(master_seed, ids[k], n)`` as the row of each ``k`` of
+    a block, bit for bit.
+
+    The seed words of every id are hashed once, up front.  Per stack, each
+    replicate's PCG64 stream is read as ``(n + 1) // 2`` raw 64-bit words.
+    NumPy's ``integers`` splits each word into two 32-bit draws, low half
+    first, and maps a draw ``u`` to ``(u * n) >> 32`` (Lemire, ACM TOMACS
+    29(1), 2019), which is done here for the whole stack in ``rows``' own
+    memory.  ``integers`` rejects and redraws ``u`` when the low word of
+    ``u * n`` is below ``(2**32 - n) % n``; a row with such a draw is filled
+    by :func:`resample_indices` instead.
+    """
+    _check_seed(master_seed, 0)
+    pcg64 = _pcg64_from_words()
+    words = _seed_words(master_seed, ids)
+    half = (n + 1) // 2
+    threshold = (2**32 - n) % n
+    low_word = 0 if np.little_endian else 1
+
+    def fill_rows(block, rows):
+        # rows is int64, so its own memory holds the 64-bit products.
+        wide = rows.view(np.uint64)
+        for seed, out in zip(words[block], wide):
+            raw = pcg64(seed).random_raw(half)
+            # As little-endian uint32, each raw word gives its low half first.
+            out[:] = raw.astype("<u8", copy=False).view("<u4")[:n]
+        wide *= n
+        # The low words of the products decide NumPy's rejections.
+        low = wide.view(np.uint32)[:, low_word::2].min(axis=1)
+        wide >>= 32
+        for k in np.flatnonzero(low < threshold).tolist():
+            rows[k] = resample_indices(master_seed, int(ids[block[k]]), n)
+
+    return fill_rows
 
 
 def _refit_all(
@@ -228,7 +362,7 @@ def _refit_all(
     """
     n, width = data.design.shape
     chunk = min(count, max(1, CHUNK_BYTES // (8 * n * width)))
-    rows = np.empty((chunk, size), dtype=np.intp)
+    rows = np.empty((chunk, size), dtype=np.int64)
     designs = np.empty((chunk, size, width))
     responses = np.empty((chunk, size))
     work = _work(chunk, size, width)
@@ -276,11 +410,7 @@ def bootstrap_fit(
         raise DomainError("workers must be at least 1")
     original = fit_mle(data, config)
     n = data.n_observations
-
-    def fill_rows(block, rows):
-        for row, b in zip(rows, block.tolist()):
-            row[:] = resample_indices(master_seed, b, n)
-
+    fill_rows = _resample_rows(master_seed, np.arange(replicates), n)
     ids, kept = _refit_all(data, config, replicates, n, fill_rows)
     if len(ids) < MIN_SURVIVING_FRACTION * replicates:
         raise ResamplingInstabilityError(
@@ -342,6 +472,15 @@ def _check_survivors(result: BootstrapResult, minimum: int, method: str) -> None
         )
 
 
+def _replicate_column(result: BootstrapResult, coefficient_index: int) -> np.ndarray:
+    width = result.replicates.shape[1]
+    if not 0 <= coefficient_index < width:
+        raise DomainError(
+            f"coefficient_index must lie in 0..{width - 1}, got {coefficient_index}"
+        )
+    return result.replicates[:, coefficient_index]
+
+
 def percentile_ci(
     result: BootstrapResult, coefficient_index: int, level: float = 0.95
 ) -> IntervalEstimate:
@@ -355,10 +494,12 @@ def percentile_ci(
     ------
     InsufficientReplicatesError
         With fewer than 100 surviving replicates.
+    DomainError
+        If ``coefficient_index`` is not in ``0 .. p - 1``.
     """
     _check_level(level)
     _check_survivors(result, MIN_PERCENTILE_REPLICATES, "percentile")
-    column = result.replicates[:, coefficient_index]
+    column = _replicate_column(result, coefficient_index)
     alpha = (1.0 - level) / 2.0
     lower, upper = np.quantile(column, [alpha, 1.0 - alpha])
     return IntervalEstimate(
@@ -460,10 +601,12 @@ def bca_ci(
     ------
     InsufficientReplicatesError
         With fewer than 1000 surviving replicates.
+    DomainError
+        If ``coefficient_index`` is not in ``0 .. p - 1``.
     """
     _check_level(level)
     _check_survivors(result, MIN_BCA_REPLICATES, "BCa")
-    column = result.replicates[:, coefficient_index]
+    column = _replicate_column(result, coefficient_index)
     alpha = (1.0 - level) / 2.0
     tails = [alpha, 1.0 - alpha]
     fallback = False

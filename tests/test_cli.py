@@ -480,6 +480,27 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str([True] * 5 + [False] * 3)
 
+    def test_import_loads_no_numpy_random(self):
+        # numpy.random waits for the first bootstrap or simulation, so a
+        # command that needs neither does not pay for its import.
+        probe = "import sys, logitboot; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_negative_bootstrap_seed_is_usage_error(self, study_csv):
+        code, out, err = run_cli("bootstrap", "--input", study_csv,
+                                 "--replicates", "120", "--seed", "-1")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert list(doc) == ["manifest", "error"]
+        assert doc["manifest"]["config"]["seed"] == -1
+        assert doc["error"] == {
+            "type": "DomainError",
+            "message": "seeds and replicate indices must be non-negative",
+        }
+
     @pytest.mark.parametrize("method", ["wald", "percentile", "bca", "all"])
     def test_wald_level_one_ulp_below_one_is_usage_error(self, study_csv, method):
         # (1 + level) / 2 rounds to 1.0, so the normal quantile is infinite.

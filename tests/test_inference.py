@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 import logitboot.inference
 from logitboot import (
@@ -115,6 +117,56 @@ class TestResampleIndices:
             resample_indices(0, 0, 0)
 
 
+# Master seeds as Python ints, and as NumPy ints where they fit in 64 bits;
+# the limb boundary at 2**32 is always tried.
+MASTER_SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**128 - 1)
+).flatmap(lambda seed: st.sampled_from(
+    [seed, np.uint64(seed), np.int64(seed)] if seed < 2**63 else [seed]))
+
+
+def drawn_rows(master_seed, ids, n):
+    """Rows of the block drawer for ``ids``, in a longer stack then a
+    shorter one, as ``_refit_all`` hands them over."""
+    fill_rows = logitboot.inference._resample_rows(master_seed, np.array(ids), n)
+    rows = np.empty((len(ids), n), dtype=np.int64)
+    split = len(ids) - len(ids) // 2
+    drawn = []
+    for lo, hi in ((0, split), (split, len(ids))):
+        fill_rows(np.arange(lo, hi), rows[: hi - lo])
+        drawn.extend(rows[: hi - lo].copy())
+    return drawn
+
+
+class TestBlockDrawer:
+    @given(
+        MASTER_SEEDS,
+        st.lists(st.integers(0, 2**31), min_size=1, max_size=6),
+        st.sampled_from([1, 2, 3, 400, 401, 20_000]),
+    )
+    def test_rows_equal_resample_indices(self, master_seed, ids, n):
+        for b, row in zip(ids, drawn_rows(master_seed, ids, n)):
+            expected = resample_indices(master_seed, b, n)
+            assert row.tobytes() == expected.tobytes()
+
+    def test_rejected_draws_fall_back_to_the_recipe(self, monkeypatch):
+        # At n = 100 003 NumPy rejects and redraws in about 3 replicates of 5;
+        # the others must come from the block itself.
+        recipe = logitboot.inference.resample_indices
+        redrawn = []
+
+        def counting(master_seed, replicate, n):
+            redrawn.append(replicate)
+            return recipe(master_seed, replicate, n)
+
+        monkeypatch.setattr(logitboot.inference, "resample_indices", counting)
+        ids = list(range(8))
+        rows = drawn_rows(2**40 + 3, ids, 100_003)
+        assert 0 < len(redrawn) < len(ids)
+        for b, row in zip(ids, rows):
+            assert row.tobytes() == recipe(2**40 + 3, b, 100_003).tobytes()
+
+
 class TestBootstrapFit:
     def test_bit_reproducible(self, study):
         a = bootstrap_fit(study, replicates=150, master_seed=9)
@@ -189,6 +241,21 @@ class TestBootstrapFit:
             bootstrap_fit(study, replicates=0)
         with pytest.raises(DomainError):
             bootstrap_fit(study, replicates=10, workers=0)
+
+
+def test_negative_master_seed_raises_after_the_full_fit(study, monkeypatch):
+    fitted = []
+
+    def spy(data, config=None):
+        fitted.append(data)
+        return fit_mle(data, config)
+
+    monkeypatch.setattr(logitboot.inference, "fit_mle", spy)
+    with pytest.raises(
+        DomainError, match="^seeds and replicate indices must be non-negative$"
+    ):
+        bootstrap_fit(study, replicates=20, master_seed=-1)
+    assert len(fitted) == 1 and fitted[0] is study
 
 
 def single_refit(data, rows, config=None):
@@ -369,6 +436,20 @@ class TestPercentileCI:
         result = synthetic_result(np.arange(99.0), estimate=50.0)
         with pytest.raises(InsufficientReplicatesError):
             percentile_ci(result, 0, 0.95)
+
+
+class TestCoefficientIndex:
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_percentile_rejects_index_outside_columns(self, index):
+        result = synthetic_result(np.arange(200.0), estimate=100.0)
+        with pytest.raises(DomainError, match="coefficient_index"):
+            percentile_ci(result, index, 0.95)
+
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_bca_rejects_index_outside_columns(self, index):
+        result = synthetic_result(np.arange(1200.0), estimate=600.0)
+        with pytest.raises(DomainError, match="coefficient_index"):
+            bca_ci(result, None, None, index, 0.95, acceleration=0.0)
 
 
 class TestJackknife:
