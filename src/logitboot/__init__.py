@@ -60,6 +60,7 @@ from .inference import (
     ScaledOddsEntry,
     acceleration_from_jackknife,
     bca_ci,
+    bca_intervals,
     bootstrap_fit,
     jackknife_acceleration,
     jackknife_estimates,
@@ -126,6 +127,7 @@ __all__ = [
     "ValidationReport",
     "acceleration_from_jackknife",
     "bca_ci",
+    "bca_intervals",
     "bootstrap_fit",
     "decode",
     "default_age_grid",

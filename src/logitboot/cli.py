@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, inference
+from . import __version__
 from .data_io import (
     ENCODED_COLUMNS,
     SimulationSpec,
@@ -40,9 +40,11 @@ from .data_io import (
     _simulate_columns,
     _write_csv,
 )
-# The record-level API stays importable here, where bench/tracing.py wraps
-# these names; the CLI itself works on columns and calls none of them.
+# The record-level API and the BCa steps stay importable here, where
+# bench/tracing.py wraps these names; the CLI itself works on columns,
+# leaves BCa to bca_intervals and calls none of them.
 from .data_io import encode, load_csv, save_csv, simulate  # noqa: F401
+from .inference import acceleration_from_jackknife, bca_ci, jackknife_estimates  # noqa: F401
 from .errors import (
     DegenerateResponseError,
     DomainError,
@@ -55,10 +57,8 @@ from .errors import (
     UnknownPredictorError,
 )
 from .inference import (
-    acceleration_from_jackknife,
-    bca_ci,
+    bca_intervals,
     bootstrap_fit,
-    jackknife_estimates,
     odds_report,
     odds_scale,
     percentile_ci,
@@ -213,14 +213,7 @@ def _cmd_bootstrap(args):
     if "percentile" in methods:
         intervals += [percentile_ci(result, j, level) for j in indices]
     if "bca" in methods:
-        # bca_ci's own first checks, made before the n leave-one-out refits
-        # that a failing request would otherwise pay for.
-        inference._check_level(level)
-        inference._check_survivors(result, inference.MIN_BCA_REPLICATES, "BCa")
-        loo = jackknife_estimates(data, config)
-        for j in indices:
-            accel = acceleration_from_jackknife(loo[:, j])
-            intervals.append(bca_ci(result, data, config, j, level, acceleration=accel))
+        intervals += bca_intervals(result, data, config, level)
 
     means = result.replicates.mean(axis=0)
     payload = {

@@ -472,12 +472,15 @@ def _check_survivors(result: BootstrapResult, minimum: int, method: str) -> None
         )
 
 
-def _replicate_column(result: BootstrapResult, coefficient_index: int) -> np.ndarray:
-    width = result.replicates.shape[1]
+def _check_index(coefficient_index: int, width: int) -> None:
     if not 0 <= coefficient_index < width:
         raise DomainError(
             f"coefficient_index must lie in 0..{width - 1}, got {coefficient_index}"
         )
+
+
+def _replicate_column(result: BootstrapResult, coefficient_index: int) -> np.ndarray:
+    _check_index(coefficient_index, result.replicates.shape[1])
     return result.replicates[:, coefficient_index]
 
 
@@ -554,7 +557,14 @@ def acceleration_from_jackknife(values: np.ndarray) -> float:
 def jackknife_acceleration(
     data: EncodedDataset, config: FitConfig | None, coefficient_index: int
 ) -> float:
-    """Acceleration constant for one coefficient via leave-one-out refits."""
+    """Acceleration constant for one coefficient via leave-one-out refits.
+
+    Raises
+    ------
+    DomainError
+        If ``coefficient_index`` is not in ``0 .. p - 1``, before any refit.
+    """
+    _check_index(coefficient_index, data.n_parameters)
     estimates = jackknife_estimates(data, config)
     return acceleration_from_jackknife(estimates[:, coefficient_index])
 
@@ -588,14 +598,8 @@ def bca_ci(
 
     ``bias_correction`` and ``acceleration`` override the estimated values
     when given (useful for sensitivity checks).  With ``acceleration=None``
-    every call reruns all ``n`` leave-one-out refits, so intervals for all
-    ``p`` coefficients cost ``p`` jackknifes.  Run the jackknife once and
-    pass each coefficient's acceleration instead::
-
-        loo = jackknife_estimates(data, config)
-        for j in range(loo.shape[1]):
-            a = acceleration_from_jackknife(loo[:, j])
-            bca_ci(result, data, config, j, acceleration=a)
+    every call reruns all ``n`` leave-one-out refits; :func:`bca_intervals`
+    gives the intervals of all ``p`` coefficients from one jackknife.
 
     Raises
     ------
@@ -640,6 +644,40 @@ def bca_ci(
         upper=float(upper),
         fallback=fallback,
     )
+
+
+def bca_intervals(
+    result: BootstrapResult,
+    data: EncodedDataset,
+    config: FitConfig | None = None,
+    level: float = 0.95,
+) -> list[IntervalEstimate]:
+    """:func:`bca_ci` for every coefficient, in coefficient order, from one
+    jackknife.
+
+    The level and the 1000-survivor minimum are checked first, so a request
+    bound to fail runs no refit.  Then :func:`jackknife_estimates` runs
+    once, even if every interval falls back to percentile bounds, and each
+    coefficient's acceleration comes from its leave-one-out column.  Each
+    interval equals ``bca_ci(result, data, config, j, level,
+    acceleration=acceleration_from_jackknife(loo[:, j]))`` bit for bit.
+
+    Raises
+    ------
+    DomainError
+        If the level's tail probabilities are not inside (0, 1).
+    InsufficientReplicatesError
+        With fewer than 1000 surviving replicates, or fewer than two
+        leave-one-out refits that converge.
+    """
+    _check_level(level)
+    _check_survivors(result, MIN_BCA_REPLICATES, "BCa")
+    loo = jackknife_estimates(data, config)
+    return [
+        bca_ci(result, data, config, j, level,
+               acceleration=acceleration_from_jackknife(loo[:, j]))
+        for j in range(loo.shape[1])
+    ]
 
 
 def odds_scale(interval: IntervalEstimate) -> IntervalEstimate:

@@ -14,7 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logitboot import SimulationSpec, cli, fit_mle, holdout_validate, save_csv, simulate
+import logitboot.inference
+from logitboot import (
+    SimulationSpec,
+    bca_intervals,
+    bootstrap_fit,
+    cli,
+    fit_mle,
+    holdout_validate,
+    save_csv,
+    simulate,
+)
 from logitboot.data_io import encode, load_csv
 
 from conftest import GOLDEN_COEFFICIENTS
@@ -214,6 +224,39 @@ class TestBootstrapCLI:
         assert cli.main(["bootstrap", "--input", study_csv, "--seed", "5",
                          "--ci-method", "bca", *extra]) == code
         assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+
+    @pytest.mark.parametrize(
+        "extra, code, error",
+        [
+            (("--replicates", "999"), 3, "InsufficientReplicatesError"),
+            (("--replicates", "1000", "--ci-level", "0.9999999999999999"), 1,
+             "DomainError"),
+        ],
+    )
+    def test_bca_request_bound_to_fail_runs_no_refit(
+        self, study_csv, monkeypatch, capsys, extra, code, error
+    ):
+        # 999 survivors (every replicate of this study converges), or a level
+        # whose tails round to 0 and 1: the library's jackknife never runs.
+        def no_jackknife(*args, **kwargs):
+            raise AssertionError("jackknife ran for a BCa request that must fail")
+
+        monkeypatch.setattr(logitboot.inference, "jackknife_estimates", no_jackknife)
+        assert cli.main(["bootstrap", "--input", study_csv, "--seed", "5",
+                         "--ci-method", "bca", *extra]) == code
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+
+    def test_bca_bounds_equal_the_library(self, study_csv):
+        code, out, _ = run_cli("bootstrap", "--input", study_csv,
+                               "--replicates", "1000", "--seed", "5",
+                               "--ci-method", "all")
+        assert code == 0
+        cli_bca = [(i["log_odds"]["lower"], i["log_odds"]["upper"], i["fallback"])
+                   for i in json.loads(out)["intervals"] if i["method"] == "bca"]
+        data = encode(load_csv(study_csv))
+        result = bootstrap_fit(data, replicates=1000, master_seed=5)
+        assert cli_bca == [(i.lower, i.upper, i.fallback)
+                           for i in bca_intervals(result, data)]
 
 
 class TestSplitValidateCurves:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import logitboot
 import logitboot.inference
 from logitboot import (
     BootstrapResult,
@@ -24,6 +27,7 @@ from logitboot import (
     UnknownPredictorError,
     acceleration_from_jackknife,
     bca_ci,
+    bca_intervals,
     bootstrap_fit,
     fit_mle,
     jackknife_acceleration,
@@ -452,6 +456,18 @@ class TestCoefficientIndex:
             bca_ci(result, None, None, index, 0.95, acceleration=0.0)
 
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_jackknife_acceleration_rejects_index_before_any_refit(
+        self, study, monkeypatch, index
+    ):
+        def no_jackknife(*args, **kwargs):
+            raise AssertionError("jackknife ran for an index outside the columns")
+
+        monkeypatch.setattr(logitboot.inference, "jackknife_estimates", no_jackknife)
+        with pytest.raises(DomainError, match=r"coefficient_index must lie in 0\.\.3"):
+            jackknife_acceleration(study, None, index)
+
+
 class TestJackknife:
     def test_estimates_shape_for_healthy_data(self, study):
         estimates = jackknife_estimates(study)
@@ -560,6 +576,96 @@ class TestBCaCI:
         assert interval.lower == pytest.approx(float(expected[0]), abs=1e-12)
         assert interval.upper == pytest.approx(float(expected[1]), abs=1e-12)
         assert (interval.lower, interval.upper) != (plain.lower, plain.upper)
+
+
+def counting_jackknife(monkeypatch):
+    """Wrap ``logitboot.inference.jackknife_estimates``; returns its call list."""
+    calls = []
+    real = logitboot.inference.jackknife_estimates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logitboot.inference, "jackknife_estimates", counted)
+    return calls
+
+
+class TestBCaIntervals:
+    def test_one_jackknife_same_bits_as_bca_ci(self, study, study_boot, monkeypatch):
+        loo = jackknife_estimates(study)
+        expected = [
+            bca_ci(study_boot, study, None, j, 0.9,
+                   acceleration=acceleration_from_jackknife(loo[:, j]))
+            for j in range(study.n_parameters)
+        ]
+        calls = counting_jackknife(monkeypatch)
+        intervals = bca_intervals(study_boot, study, None, 0.9)
+        assert len(calls) == 1
+        assert [i.coefficient_index for i in intervals] == list(range(study.n_parameters))
+        # Dataclass equality: the same lower, upper and fallback, bit for bit.
+        assert intervals == expected
+
+    def test_jackknife_runs_when_every_interval_falls_back(
+        self, study, study_boot, monkeypatch
+    ):
+        # An original estimate below every replicate leaves z0 undefined, but
+        # the one jackknife is not skipped, so a study whose jackknife fails
+        # still fails.
+        below = make_fit(study_boot.replicates.min(axis=0) - 1.0)
+        result = BootstrapResult(
+            replicates=study_boot.replicates,
+            replicate_ids=study_boot.replicate_ids,
+            requested=study_boot.requested,
+            master_seed=study_boot.master_seed,
+            original_fit=below,
+        )
+        calls = counting_jackknife(monkeypatch)
+        intervals = bca_intervals(result, study)
+        assert len(calls) == 1
+        assert [i.fallback for i in intervals] == [True] * study.n_parameters
+
+    @pytest.mark.parametrize(
+        "survivors, level, error",
+        [
+            (999, 0.95, InsufficientReplicatesError),
+            (1200, 0.9999999999999999, DomainError),
+        ],
+    )
+    def test_request_bound_to_fail_runs_no_refit(
+        self, study, study_boot, monkeypatch, survivors, level, error
+    ):
+        def no_jackknife(*args, **kwargs):
+            raise AssertionError("jackknife ran for a BCa request that must fail")
+
+        result = BootstrapResult(
+            replicates=study_boot.replicates[:survivors],
+            replicate_ids=study_boot.replicate_ids[:survivors],
+            requested=study_boot.requested,
+            master_seed=study_boot.master_seed,
+            original_fit=study_boot.original_fit,
+        )
+        monkeypatch.setattr(logitboot.inference, "jackknife_estimates", no_jackknife)
+        with pytest.raises(error):
+            bca_intervals(result, study, None, level)
+
+
+@pytest.mark.parametrize(
+    "module", ["data_io", "errors", "inference", "model_core", "validation"]
+)
+def test_all_lists_every_public_function_and_class(module):
+    assert len(logitboot.__all__) == len(set(logitboot.__all__))
+    for name in logitboot.__all__:
+        assert hasattr(logitboot, name), name
+    namespace = importlib.import_module(f"logitboot.{module}")
+    public = {
+        name
+        for name, value in vars(namespace).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == namespace.__name__
+    }
+    assert public <= set(logitboot.__all__), public - set(logitboot.__all__)
 
 
 class TestOddsReport:
