@@ -22,7 +22,7 @@ a chunk at a time: the rows of ``CHUNK_BYTES // (8 n p)`` resamples (at
 least one) are gathered into one ``[chunk, n, p]`` design and fitted
 together, and the jackknife's leave-one-out refits likewise.  A run of
 refits allocates its row-index, design and response buffers and the
-kernel's working arrays once, at the longest stack: every stack gathers
+kernel's working array once, at the longest stack: every stack gathers
 into their leading slices with ``np.take(..., out=...)``, and the kernel
 iterates in them rather than in arrays of its own.  Each refit's
 coefficients are bit-identical to :func:`~logitboot.model_core.fit_mle` on
@@ -354,7 +354,7 @@ def _refit_all(
     writes their row indices into ``rows``, one row of the matrix per
     ``k``.  Refits run ``CHUNK_BYTES`` of gathered design at a time through
     the stacked kernel.  The index, design and response buffers and the
-    kernel's working arrays are allocated once, at the longest stack, and
+    kernel's working array are allocated once, at the longest stack, and
     every stack uses their leading slices.  Returns the ``k`` of the
     refits that converged, in order, and their coefficient rows; refits on
     a single-class subset, separated or singular ones and those out of

@@ -33,16 +33,16 @@ for ``sum ln(1 + exp(eta))``, ``X' (X w)`` and ``eigh``.  Forms that sum in
 another order (``einsum``, a weighted ``bincount``, an elementwise product
 summed) differ in the last bits and would break that.
 
-The kernel's per-row arrays, eta, e, the probabilities h, the weights w
-and the weighted design W X, are working arrays allocated once per call;
-the bootstrap and the jackknife allocate them once per run of refits and
-hand them to every stack.  Each iterate writes into their leading slices
-through the ``out`` buffers of ``_evaluate``, ``_probabilities`` and
-``_information_from_probs``, the one routine of each step, which allocate
-for themselves when given none.  The default zero start needs no
-evaluation: at theta = 0 every probability is 1/2 and the log-likelihood is
-0 minus the pairwise sum of n copies of log1p(1), the bits ``_evaluate``
-gives.
+The kernel's per-row values, eta, e, the probabilities h, the weights w
+and the p columns of the weighted design W X, are the rows of one working
+array allocated once per call; the bootstrap and the jackknife allocate it
+once per run of refits and hand it to every stack.  Each iterate writes
+into the leading entries of its rows through the ``out`` buffers of
+``_evaluate``, ``_probabilities`` and ``_information_from_probs``, the one
+routine of each step, which allocate for themselves when given none.  The
+default zero start needs no evaluation: at theta = 0 every probability is
+1/2 and the log-likelihood is 0 minus the pairwise sum of n copies of
+log1p(1), the bits ``_evaluate`` gives.
 
 Numerical policy: probabilities never exponentiate a large positive
 argument.  Every evaluation takes ``e = exp(-|eta|)`` once and derives
@@ -253,6 +253,10 @@ def _evaluate(designs: np.ndarray, theta: np.ndarray, y: np.ndarray, out=None):
     return eta, e, y_eta - terms.sum(axis=-1)
 
 
+def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    return _probabilities(eta, np.exp(-np.abs(eta)))
+
+
 def sigmoid(eta):
     """Logistic response ``1 / (1 + exp(-eta))``, elementwise.
 
@@ -270,7 +274,7 @@ def sigmoid(eta):
         raise DomainError("sigmoid requires finite input")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = _probabilities(arr, np.exp(-np.abs(arr)))
+    out = _sigmoid(arr)
     return float(out[0]) if scalar else out
 
 
@@ -344,18 +348,13 @@ def observed_information(coefficients, data: EncodedDataset) -> np.ndarray:
 
 def _information_from_probs(design: np.ndarray, h: np.ndarray, out=None):
     # X' W X for one design or a stack of them.  ``out`` is an optional
-    # pair of buffers: one shaped like h for w = h (1 - h), one shaped like
-    # the design for W X.  Each row's weight is copied into its p cells
-    # first, so W X is one flat elementwise product with the same factors
-    # as design * w[..., None]; broadcasting w would run NumPy's loop p
-    # cells at a time.
-    w, wx = (None, np.empty(design.shape)) if out is None else out
+    # pair of buffers: w = h (1 - h) shaped like h, and W X by columns,
+    # ``(p,) + h.shape``; matmul gives it the bits of a row-major W X.
+    w, wx = (None, None) if out is None else out
     w = np.subtract(1.0, h, out=w)
     w *= h
-    for j in range(design.shape[-1]):
-        wx[..., j] = w
-    wx *= design
-    info = np.matmul(design.swapaxes(-1, -2), wx)
+    wx = np.multiply(np.moveaxis(design, -1, 0), w, out=wx)
+    info = np.matmul(design.swapaxes(-1, -2), np.moveaxis(wx, 0, -1))
     # Symmetrize to wash out last-bit asymmetry from the matmul.
     return (info + info.swapaxes(-1, -2)) * 0.5
 
@@ -415,18 +414,18 @@ def _zero_start(h: np.ndarray) -> np.ndarray:
     return loglik
 
 
-def _work(count: int, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Working arrays for :func:`_fit_batch` on up to ``count`` slices of
-    up to ``n`` rows and ``width`` columns: four flat n-vector rows (eta,
-    e, h, w) and one flat design-sized array (W X)."""
-    return np.empty((4, count * n)), np.empty(count * n * width)
+def _work(count: int, n: int, width: int) -> np.ndarray:
+    """The working array of :func:`_fit_batch` on up to ``count`` slices of
+    up to ``n`` rows and ``width`` columns: ``4 + width`` rows of
+    ``count * n`` entries, for eta, e, h, w and then the columns of W X."""
+    return np.empty((4 + width, count * n))
 
 
 def _fit_batch(
     designs: np.ndarray,
     responses: np.ndarray,
     config: FitConfig | None = None,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
+    work: np.ndarray | None = None,
 ) -> _Batch:
     """Newton-Raphson on a stack of problems ``designs[B, n, p]``,
     ``responses[B, n]``, all slices at once.
@@ -448,20 +447,20 @@ def _fit_batch(
     whole live stack; an accepted slice's candidate is unchanged, so it
     evaluates to the same bits again.
 
-    Every per-row array lives in ``work`` (see :func:`_work`), allocated
-    here when not given; the live slices use its leading entries, whatever
-    values earlier stacks left there.  The default zero start is evaluated
-    in closed form (:func:`_zero_start`).
+    Every per-row value lives in a row of ``work`` (see :func:`_work`),
+    allocated here when not given; the live slices use one view of its
+    rows' leading entries, whatever earlier stacks left there.  The
+    default zero start is evaluated in closed form (:func:`_zero_start`).
     """
     if config is None:
         config = FitConfig()
     count, n, width = designs.shape
-    vectors, products = _work(count, n, width) if work is None else work
+    rows = _work(count, n, width) if work is None else work
 
     def buffers(live):
-        # The eta, e, h and w rows and the W X array of `live` slices.
-        rows = vectors[:, : live * n].reshape(4, live, n)
-        return rows, products[: live * n * width].reshape(live, n, width)
+        # One view of every row's first live * n entries: eta, e, h, w, W X.
+        live_rows = rows[:, : live * n].reshape(-1, live, n)
+        return live_rows[:4], live_rows[4:]
 
     (eta, e, h, w), wx = buffers(count)
     theta = np.zeros((count, width))

@@ -25,7 +25,7 @@ from .model_core import (
     EncodedDataset,
     FitConfig,
     FitResult,
-    _probabilities,
+    _sigmoid,
     fit_mle,
 )
 
@@ -71,7 +71,7 @@ class ValidationReport:
         if sum(counts) != len(self.test_indices):
             raise DomainError("confusion counts must sum to the test-set size")
         for name in ("train_indices", "test_indices"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr = _whole_numbers(getattr(self, name), name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -110,6 +110,16 @@ class CurvePoint:
     probability: float
 
 
+def _whole_numbers(values, what: str) -> np.ndarray:
+    # A cast alone would read booleans as rows 0 and 1 and truncate 1.9.
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        whole = given.astype(np.int64)
+    if given.dtype == bool or not np.array_equal(whole, given):
+        raise DomainError(f"{what} must be whole numbers, not booleans or fractions")
+    return whole
+
+
 def split_sample_fit(
     data: EncodedDataset,
     sizes: Sequence[int],
@@ -118,13 +128,14 @@ def split_sample_fit(
 ) -> SplitSampleReport:
     """Refit the model on nested prefix subsets of the data.
 
-    ``sizes`` must be strictly increasing and at most the dataset size,
-    and ``shuffle_seed``, when given, non-negative.  A subset whose refit
+    ``sizes`` must be whole numbers (``3.0`` is one, ``True`` is not),
+    strictly increasing and at most the dataset size, and
+    ``shuffle_seed``, when given, non-negative.  A subset whose refit
     fails (single-class response, separation, or non-convergence)
     contributes an error string instead of a fit; the remaining sizes are
     still fitted.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = _whole_numbers(sizes, "split sizes").tolist()
     if not sizes:
         raise DomainError("at least one split size is required")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -173,14 +184,15 @@ def holdout_validate(
     """Score thresholded predictions of ``fit`` on the rows ``test_indices``.
 
     Prediction is 1 exactly when the fitted probability is at least
-    ``threshold``.  ``train_indices`` in the report is the sorted
-    complement of the test set.
+    ``threshold``.  ``test_indices`` must be distinct whole numbers, as
+    for :func:`split_sample_fit`.  ``train_indices`` in the report is the
+    sorted complement of the test set.
     """
     if not (0.0 < threshold < 1.0):
         raise DomainError("threshold must lie strictly in (0, 1)")
     if fit.coefficients.size != data.n_parameters:
         raise DimensionMismatchError("fit and dataset have different widths")
-    idx = np.array(test_indices, dtype=np.int64)
+    idx = _whole_numbers(test_indices, "test indices")
     if idx.size == 0:
         raise DomainError("test set must be non-empty")
     ordered = np.sort(idx, axis=None)
@@ -189,9 +201,7 @@ def holdout_validate(
     if ordered[0] < 0 or ordered[-1] >= data.n_observations:
         raise DomainError("test indices out of range")
 
-    eta = data.design[idx] @ fit.coefficients
-    probs = _probabilities(eta, np.exp(-np.abs(eta)))
-    predicted = probs >= threshold
+    predicted = _sigmoid(data.design[idx] @ fit.coefficients) >= threshold
     actual = data.response[idx] == 1.0
     tp = int(np.count_nonzero(predicted & actual))
     fp = int(np.count_nonzero(predicted & ~actual))
@@ -276,7 +286,7 @@ def probability_curves(
             rows[:, names.index(name)] = float(value)
         rows[:, age_j] = profile.age_grid
         etas = np.matmul(rows[:, None, :], fit.coefficients[:, None])[:, 0, 0]
-        probs = _probabilities(etas, np.exp(-np.abs(etas)))
+        probs = _sigmoid(etas)
         points.extend(map(
             CurvePoint, repeat(profile.name), profile.age_grid.tolist(), probs.tolist()
         ))

@@ -33,6 +33,8 @@ from logitboot.model_core import (
     SINGLE_CLASS,
     SINGULAR,
     UNBOUNDED,
+    _P_HI,
+    _P_LO,
     _evaluate,
     _fit_batch,
     _information_from_probs,
@@ -280,6 +282,59 @@ class TestObservedInformation:
         info = np.matmul(X.swapaxes(-1, -2), X * w[..., None])
         expected = (info + info.swapaxes(-1, -2)) * 0.5
         assert _information_from_probs(X, h).tobytes() == expected.tobytes()
+
+    @given(
+        live=st.integers(1, 6),
+        spare=st.integers(0, 4),
+        n=st.integers(1, 64),
+        width=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        pinned=st.lists(st.sampled_from([0.5, _P_LO, _P_HI]), max_size=8),
+    )
+    def test_information_in_the_kernels_views_matches_weighted_matmul(
+        self, live, spare, n, width, seed, pinned
+    ):
+        """W X by columns in the leading entries of a larger working
+        array, as ``_fit_batch`` lays it out for its live slices, gives the
+        bytes of the row-major reference."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=30.0, size=(live, n, width))
+        h = rng.random((live, n))
+        h.flat[rng.integers(0, h.size, size=len(pinned))] = pinned
+        work = _work(live + spare, n, width)
+        work.fill(np.nan)
+        rows = work[:, : live * n].reshape(-1, live, n)
+        assert rows.base is work
+        info = _information_from_probs(X, h, (rows[3], rows[4:]))
+        w = h * (1.0 - h)
+        reference = np.matmul(X.swapaxes(-1, -2), X * w[..., None])
+        expected = (reference + reference.swapaxes(-1, -2)) * 0.5
+        assert info.tobytes() == expected.tobytes()
+
+    @given(
+        n=st.integers(1, 64),
+        width=st.integers(1, 5),
+        spare=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_observed_information_is_a_one_slice_kernel_step(
+        self, n, width, spare, seed
+    ):
+        """The public information has the bits of the kernel's ``B = 1``
+        evaluation, probabilities and information in its working array."""
+        n = max(n, width)
+        rng = np.random.default_rng(seed)
+        design = np.ones((n, width))
+        design[:, 1:] = rng.normal(scale=5.0, size=(n, width - 1))
+        data = EncodedDataset(design, (rng.random(n) < 0.5).astype(float))
+        theta = rng.normal(size=width)
+        work = _work(1 + spare, n, width)
+        (eta, e, h, w), wx = np.split(work[:, :n].reshape(-1, 1, n), [4])
+        eta, e, _ = _evaluate(data.design[None], theta[None], data.response[None],
+                              (eta, e, h, w))
+        h = _probabilities(eta, e, (h, w))
+        info = _information_from_probs(data.design[None], h, (w, wx))
+        assert observed_information(theta, data).tobytes() == info[0].tobytes()
 
 
 class TestFitMLE:

@@ -10,6 +10,7 @@ from logitboot import (
     EncodedDataset,
     FitConfig,
     UnknownPredictorError,
+    ValidationReport,
     default_age_grid,
     fit_mle,
     holdout_validate,
@@ -78,6 +79,22 @@ class TestSplitSampleFit:
             split_sample_fit(study, [100, 401])
         with pytest.raises(DomainError):
             split_sample_fit(study, [0, 100])
+
+    @pytest.mark.parametrize("sizes", [
+        [10.9, 20.2], [100, 200.5], np.array([True]), [np.nan], [np.inf],
+    ])
+    def test_sizes_must_be_whole_numbers(self, study, sizes):
+        # A cast would truncate 10.9 to 10 and read True as size 1.
+        with pytest.raises(DomainError, match="whole numbers"):
+            split_sample_fit(study, sizes)
+
+    def test_integral_float_sizes_are_accepted(self, study):
+        floats = split_sample_fit(study, [100.0, np.float64(400.0)])
+        ints = split_sample_fit(study, np.array([100, 400], dtype=np.int32))
+        assert [e.size for e in floats.entries] == [100, 400]
+        for a, b in zip(floats.entries, ints.entries):
+            assert type(a.size) is int
+            assert a.fit.coefficients.tobytes() == b.fit.coefficients.tobytes()
 
     def test_negative_shuffle_seed_rejected(self, study):
         with pytest.raises(DomainError):
@@ -195,6 +212,30 @@ class TestHoldoutValidate:
             holdout_validate(study, fit, [-1])
         with pytest.raises(DomainError):
             holdout_validate(study, fit, [0], threshold=0.0)
+
+    @pytest.mark.parametrize("indices", [
+        [False, True], np.ones(400, dtype=bool), [1.9, 3.2], [3.0, 4.5], [np.nan],
+    ])
+    def test_test_indices_must_be_whole_numbers(self, study, indices):
+        # A cast would read [False, True] as rows 0 and 1, and [1.9, 3.2]
+        # as rows 1 and 3.
+        fit = fit_mle(study)
+        with pytest.raises(DomainError, match="whole numbers"):
+            holdout_validate(study, fit, indices)
+
+    @pytest.mark.parametrize("train, test", [([False, True], [2]), ([0, 1], [2.7])])
+    def test_report_indices_must_be_whole_numbers(self, train, test):
+        with pytest.raises(DomainError, match="whole numbers"):
+            ValidationReport(train, test, 0.5, 1, 0, 0, 0)
+
+    def test_integral_float_test_indices_are_accepted(self, study):
+        fit = fit_mle(study)
+        floats = holdout_validate(study, fit, [3.0, 250.0, np.float32(399.0)])
+        ints = holdout_validate(study, fit, [3, 250, 399])
+        for name in ("test_indices", "train_indices"):
+            assert getattr(floats, name).tobytes() == getattr(ints, name).tobytes()
+        assert (floats.true_positive, floats.false_positive) == \
+            (ints.true_positive, ints.false_positive)
 
     @pytest.mark.parametrize("indices", [[-1, -1], [400, 400], [5, 399, 5]])
     def test_duplicates_are_reported_before_range(self, study, indices):
