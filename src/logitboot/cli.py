@@ -355,20 +355,19 @@ def _cmd_curves(args):
             f"{MAX_GRID_POINTS} points"
         )
     grid = np.arange(args.age_from, stop, args.age_step)
-    wanted = [tok for tok in args.profiles.split(",") if tok.strip() != ""]
+    wanted = [name for name in map(str.strip, args.profiles.split(",")) if name]
     unknown = set(wanted) - set(_PROFILE_NAMES)
     if unknown or not wanted:
         raise DomainError(
             f"--profiles accepts a comma-separated subset of {', '.join(_PROFILE_NAMES)}"
         )
     by_name = {p.name: p for p in standard_profiles(grid)}
+    if args.format == "csv" and args.out is None:
+        raise DomainError("--format csv requires --out FILE")
     points = [
         {"profile": p.profile, "age": p.age, "probability": p.probability}
         for p in probability_curves(fit, [by_name[name] for name in wanted])
     ]
-
-    if args.format == "csv" and args.out is None:
-        raise DomainError("--format csv requires --out FILE")
     if args.out is not None:
         if args.format == "csv":
             _write_csv(args.out, *zip(*(p.values() for p in points)),

@@ -59,6 +59,7 @@ from .model_core import (
     FitConfig,
     FitResult,
     _fit_batch,
+    _whole_numbers,
     _work,
     fit_mle,
 )
@@ -401,9 +402,12 @@ def bootstrap_fit(
 
     Raises
     ------
+    DomainError
+        If ``replicates`` is not a whole number of at least 1, before any fit.
     ResamplingInstabilityError
         If fewer than half of the requested replicates survive.
     """
+    replicates = int(_whole_numbers(replicates, "replicates"))
     if replicates < 1:
         raise DomainError("replicates must be at least 1")
     if workers < 1:
@@ -472,16 +476,13 @@ def _check_survivors(result: BootstrapResult, minimum: int, method: str) -> None
         )
 
 
-def _check_index(coefficient_index: int, width: int) -> None:
-    if not 0 <= coefficient_index < width:
+def _check_index(coefficient_index: int, width: int) -> int:
+    index = int(_whole_numbers(coefficient_index, "coefficient_index"))
+    if not 0 <= index < width:
         raise DomainError(
             f"coefficient_index must lie in 0..{width - 1}, got {coefficient_index}"
         )
-
-
-def _replicate_column(result: BootstrapResult, coefficient_index: int) -> np.ndarray:
-    _check_index(coefficient_index, result.replicates.shape[1])
-    return result.replicates[:, coefficient_index]
+    return index
 
 
 def percentile_ci(
@@ -502,7 +503,8 @@ def percentile_ci(
     """
     _check_level(level)
     _check_survivors(result, MIN_PERCENTILE_REPLICATES, "percentile")
-    column = _replicate_column(result, coefficient_index)
+    coefficient_index = _check_index(coefficient_index, result.replicates.shape[1])
+    column = result.replicates[:, coefficient_index]
     alpha = (1.0 - level) / 2.0
     lower, upper = np.quantile(column, [alpha, 1.0 - alpha])
     return IntervalEstimate(
@@ -564,7 +566,7 @@ def jackknife_acceleration(
     DomainError
         If ``coefficient_index`` is not in ``0 .. p - 1``, before any refit.
     """
-    _check_index(coefficient_index, data.n_parameters)
+    coefficient_index = _check_index(coefficient_index, data.n_parameters)
     estimates = jackknife_estimates(data, config)
     return acceleration_from_jackknife(estimates[:, coefficient_index])
 
@@ -610,7 +612,8 @@ def bca_ci(
     """
     _check_level(level)
     _check_survivors(result, MIN_BCA_REPLICATES, "BCa")
-    column = _replicate_column(result, coefficient_index)
+    coefficient_index = _check_index(coefficient_index, result.replicates.shape[1])
+    column = result.replicates[:, coefficient_index]
     alpha = (1.0 - level) / 2.0
     tails = [alpha, 1.0 - alpha]
     fallback = False

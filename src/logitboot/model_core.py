@@ -36,13 +36,15 @@ summed) differ in the last bits and would break that.
 The kernel's per-row values, eta, e, the probabilities h, the weights w
 and the p columns of the weighted design W X, are the rows of one working
 array allocated once per call; the bootstrap and the jackknife allocate it
-once per run of refits and hand it to every stack.  Each iterate writes
-into the leading entries of its rows through the ``out`` buffers of
-``_evaluate``, ``_probabilities`` and ``_information_from_probs``, the one
-routine of each step, which allocate for themselves when given none.  The
-default zero start needs no evaluation: at theta = 0 every probability is
-1/2 and the log-likelihood is 0 minus the pairwise sum of n copies of
-log1p(1), the bits ``_evaluate`` gives.
+once per run of refits and hand it to every stack.  The stack is a working
+array too, compacted in place; a one-slice stack, which retires at once,
+is never written.  Each iterate writes into the leading entries of its
+rows through the ``out`` buffers of ``_evaluate``, ``_probabilities`` and
+``_information_from_probs``, the one routine of each step, which allocate
+for themselves when given none.  The default zero start needs no
+evaluation: at theta = 0 every probability is 1/2 and the log-likelihood
+is 0 minus the pairwise sum of n copies of log1p(1), the bits
+``_evaluate`` gives.
 
 Numerical policy: probabilities never exponentiate a large positive
 argument.  Every evaluation takes ``e = exp(-|eta|)`` once and derives
@@ -150,13 +152,23 @@ class EncodedDataset:
         return self.design.shape[1]
 
 
+def _whole_numbers(values, what: str) -> np.ndarray:
+    # A cast alone would read True as 1 and truncate 1.9; 3.0 passes.
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        whole = given.astype(np.int64)
+    if given.dtype == bool or not np.array_equal(whole, given):
+        raise DomainError(f"{what} must be whole numbers, not booleans or fractions")
+    return whole
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Solver knobs for :func:`fit_mle`.
 
-    ``tolerance`` bounds the largest absolute score component at
-    convergence; it must be positive and finite.  ``initial_coefficients``
-    defaults to the zero vector.
+    ``max_iterations`` must be a whole number, at least 1.  ``tolerance``
+    bounds the largest absolute score component at convergence; it must be
+    positive and finite.  ``initial_coefficients`` defaults to zeros.
     """
 
     max_iterations: int = 25
@@ -164,7 +176,7 @@ class FitConfig:
     initial_coefficients: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        if _whole_numbers(self.max_iterations, "max_iterations") < 1:
             raise DomainError("max_iterations must be at least 1")
         if not (0.0 < self.tolerance < np.inf):
             raise DomainError("tolerance must be positive and finite")
@@ -436,21 +448,21 @@ def _fit_batch(
     slices, the first match winning: ``SINGLE_CLASS`` (so at iteration 0),
     ``UNBOUNDED`` (not tested at the start), ``SINGULAR``, ``CONVERGED``,
     then ``NOT_CONVERGED`` at the budget.  It is the only place a result
-    is written, and the live arrays are compacted only then, so a stack
-    whose slices all stay live, a single problem in particular, is never
-    copied.  With ``work`` given, ``designs`` and ``responses`` are working
-    arrays too: compaction moves live slices into retired ones' places
-    within them instead of copying the stack.  An iterate's
-    ``e = exp(-|eta|)`` serves its log-likelihood and then its
-    probabilities, so each evaluated iterate costs one ``exp``.
+    is written.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood
+    and then its probabilities, so each evaluated iterate costs one ``exp``.
     A halving pass halves the short slices' steps and re-evaluates the
     whole live stack; an accepted slice's candidate is unchanged, so it
     evaluates to the same bits again.
 
-    Every per-row value lives in a row of ``work`` (see :func:`_work`),
-    allocated here when not given; the live slices use one view of its
-    rows' leading entries, whatever earlier stacks left there.  The
-    default zero start is evaluated in closed form (:func:`_zero_start`).
+    ``designs`` and ``responses`` are working arrays: compaction moves live
+    slices into retired ones' places, so a multi-slice stack is left
+    reordered.  A one-slice stack retires at once and is never written, so
+    :func:`fit_mle` passes read-only views; a caller who needs its stack
+    afterwards passes a copy.  Every per-row value lives in a row of
+    ``work`` (see :func:`_work`), allocated here when not given; the live
+    slices use one view of its rows' leading entries, whatever earlier
+    stacks left there.  The default zero start is evaluated in closed form
+    (:func:`_zero_start`).
     """
     if config is None:
         config = FitConfig()
@@ -528,15 +540,9 @@ def _fit_batch(
             # retired ones among them, so a slice moves at most once.
             order = np.arange(live)
             holes = np.flatnonzero(done[:live])
-            order[holes] = np.flatnonzero(~done[live:]) + live
-            if work is None:
-                # The caller's stack is left as it was given.
-                X, y = X[order], y[order]
-            else:
-                for dst, src in zip(holes.tolist(), order[holes].tolist()):
-                    X[dst] = X[src]
-                    y[dst] = y[src]
-                X, y = X[:live], y[:live]
+            order[holes] = moved = np.flatnonzero(~done[live:]) + live
+            X[holes], y[holes] = X[moved], y[moved]
+            X, y = X[:live], y[:live]
             slots, single, theta, loglik, grad, lam, vec = (
                 a[order] for a in (slots, single, theta, loglik, grad, lam, vec)
             )

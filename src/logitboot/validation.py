@@ -26,6 +26,7 @@ from .model_core import (
     FitConfig,
     FitResult,
     _sigmoid,
+    _whole_numbers,
     fit_mle,
 )
 
@@ -108,16 +109,6 @@ class CurvePoint:
     profile: str
     age: float
     probability: float
-
-
-def _whole_numbers(values, what: str) -> np.ndarray:
-    # A cast alone would read booleans as rows 0 and 1 and truncate 1.9.
-    given = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        whole = given.astype(np.int64)
-    if given.dtype == bool or not np.array_equal(whole, given):
-        raise DomainError(f"{what} must be whole numbers, not booleans or fractions")
-    return whole
 
 
 def split_sample_fit(

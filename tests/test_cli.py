@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import logitboot.inference
+import logitboot.model_core
 from logitboot import (
     SimulationSpec,
     bca_intervals,
@@ -22,10 +23,13 @@ from logitboot import (
     cli,
     fit_mle,
     holdout_validate,
+    jackknife_estimates,
     save_csv,
     simulate,
+    split_sample_fit,
 )
 from logitboot.data_io import encode, load_csv
+from logitboot.model_core import _fit_batch
 
 from conftest import GOLDEN_COEFFICIENTS
 
@@ -259,6 +263,47 @@ class TestBootstrapCLI:
                            for i in bca_intervals(result, data)]
 
 
+KERNEL_ROUTES = {
+    "fit_mle": lambda data, path: fit_mle(data),
+    "bootstrap_fit": lambda data, path: bootstrap_fit(data, replicates=1000,
+                                                      master_seed=5),
+    "jackknife_estimates": lambda data, path: jackknife_estimates(data),
+    "bca_intervals": lambda data, path: bca_intervals(
+        bootstrap_fit(data, replicates=1000, master_seed=5), data),
+    "split_sample_fit": lambda data, path: split_sample_fit(data, [100, 250, 400]),
+    "cli fit": lambda data, path: cli.main(["fit", "--input", path]),
+    "cli split": lambda data, path: cli.main(["split", "--input", path]),
+    "cli validate": lambda data, path: cli.main(["validate", "--input", path]),
+    "cli bootstrap": lambda data, path: cli.main(
+        ["bootstrap", "--input", path, "--replicates", "1000", "--seed", "5",
+         "--ci-method", "all"]),
+}
+
+
+@pytest.mark.parametrize("route", KERNEL_ROUTES)
+def test_kernel_stacks_are_single_slices_or_come_with_work(
+    study_csv, monkeypatch, capsys, route
+):
+    """The kernel compacts every multi-slice stack in place.  That is only
+    safe because each stack it is given has one slice, which it never
+    writes, or comes with a ``work`` array from a caller that gathered the
+    stack into buffers of its own."""
+    stacks = []
+
+    def recording(designs, responses, config=None, work=None):
+        stacks.append((designs.shape[0], work is not None))
+        return _fit_batch(designs, responses, config, work)
+
+    monkeypatch.setattr(logitboot.model_core, "_fit_batch", recording)
+    monkeypatch.setattr(logitboot.inference, "_fit_batch", recording)
+    outcome = KERNEL_ROUTES[route](encode(load_csv(study_csv)), study_csv)
+    capsys.readouterr()
+    if route.startswith("cli"):
+        assert outcome == 0
+    assert stacks
+    assert all(count == 1 or with_work for count, with_work in stacks), stacks
+
+
 class TestSplitValidateCurves:
     def test_single_full_split_matches_fit(self, study_csv):
         _, fit_out, _ = run_cli("fit", "--input", study_csv)
@@ -325,6 +370,38 @@ class TestSplitValidateCurves:
         code, out, _ = run_cli("curves", "--coefficients", GOLDEN_FLAG,
                                "--format", "csv")
         assert code == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        ((), "--format csv requires --out FILE"),
+        (("--profiles", "male-emp,nobody"), "--profiles accepts"),
+    ])
+    def test_curves_csv_without_out_builds_no_points(self, monkeypatch, capsys,
+                                                      extra, message):
+        # The refusal is the last check, made before any point is built.
+        def no_points(*args, **kwargs):
+            raise AssertionError("curve points built for a refused request")
+
+        monkeypatch.setattr(cli, "probability_curves", no_points)
+        assert cli.main(["curves", "--coefficients", GOLDEN_FLAG, "--format", "csv",
+                         "--age-step", "0.0013", *extra]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith(message)
+
+    def test_curves_profiles_accept_spaces_after_commas(self, capsys):
+        docs = {}
+        for profiles in ("male-emp,female-unemp", "male-emp, female-unemp",
+                         " male-emp ,  female-unemp, "):
+            assert cli.main(["curves", "--coefficients", GOLDEN_FLAG,
+                             "--profiles", profiles]) == 0
+            docs[profiles] = json.loads(capsys.readouterr().out)
+        points = [doc["points"] for doc in docs.values()]
+        assert points[0] == points[1] == points[2]
+        names = [p["profile"] for p in points[0]]
+        assert names == ["male-emp"] * 13 + ["female-unemp"] * 13
+        # The manifest echoes the option as given.
+        for profiles, doc in docs.items():
+            assert doc["manifest"]["config"]["profiles"] == profiles
 
     @pytest.mark.parametrize("args, fit_coefficient, code, error", [
         (("--fit-json",), '"abc"', 4, "SchemaError"),

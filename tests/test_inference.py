@@ -246,6 +246,25 @@ class TestBootstrapFit:
         with pytest.raises(DomainError):
             bootstrap_fit(study, replicates=10, workers=0)
 
+    @pytest.mark.parametrize("replicates", [150.5, True, np.nan])
+    def test_replicates_must_be_a_whole_number_before_the_fit(
+        self, study, monkeypatch, replicates
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the full fit ran for an invalid replicate count")
+
+        monkeypatch.setattr(logitboot.inference, "fit_mle", no_fit)
+        with pytest.raises(DomainError, match="replicates must be whole numbers"):
+            bootstrap_fit(study, replicates=replicates)
+
+    def test_integral_replicates_are_accepted(self, study):
+        expected = bootstrap_fit(study, replicates=20, master_seed=4)
+        for replicates in (20.0, np.int16(20), np.float64(20.0)):
+            result = bootstrap_fit(study, replicates=replicates, master_seed=4)
+            assert result.requested == 20 and type(result.requested) is int
+            assert result.replicates.tobytes() == expected.replicates.tobytes()
+            assert result.replicate_ids.tobytes() == expected.replicate_ids.tobytes()
+
 
 def test_negative_master_seed_raises_after_the_full_fit(study, monkeypatch):
     fitted = []
@@ -455,6 +474,34 @@ class TestCoefficientIndex:
         with pytest.raises(DomainError, match="coefficient_index"):
             bca_ci(result, None, None, index, 0.95, acceleration=0.0)
 
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.5, np.nan])
+    def test_index_must_be_a_whole_number(self, study, study_boot, monkeypatch,
+                                          index):
+        # True would index a new axis and pool every coefficient's
+        # replicates into one interval.
+        def no_jackknife(*args, **kwargs):
+            raise AssertionError("jackknife ran for an index that is not whole")
+
+        monkeypatch.setattr(logitboot.inference, "jackknife_estimates", no_jackknife)
+        for call in (
+            lambda: percentile_ci(study_boot, index),
+            lambda: bca_ci(study_boot, study, None, index, acceleration=0.0),
+            lambda: jackknife_acceleration(study, None, index),
+        ):
+            with pytest.raises(DomainError, match="coefficient_index must be whole"):
+                call()
+
+    @pytest.mark.parametrize("index", [1.0, np.float32(1.0), np.int8(1)])
+    def test_integral_index_is_accepted(self, study, study_boot, index):
+        for method, expected in (
+            (percentile_ci, percentile_ci(study_boot, 1)),
+            (lambda r, j: bca_ci(r, study, None, j, acceleration=0.01),
+             bca_ci(study_boot, study, None, 1, acceleration=0.01)),
+        ):
+            interval = method(study_boot, index)
+            assert interval == expected
+            assert type(interval.coefficient_index) is int
 
     @pytest.mark.parametrize("index", [-1, 4])
     def test_jackknife_acceleration_rejects_index_before_any_refit(

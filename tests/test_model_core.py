@@ -455,6 +455,20 @@ class TestFitMLE:
         with pytest.raises(DimensionMismatchError):
             fit_mle(data, FitConfig(initial_coefficients=(0.0,)))
 
+    @pytest.mark.parametrize("budget", [2.5, True, np.nan])
+    def test_iteration_budget_must_be_a_whole_number(self, budget):
+        # 2.5 would run 3 iterations and True one.
+        with pytest.raises(DomainError, match="max_iterations must be whole numbers"):
+            FitConfig(max_iterations=budget)
+
+    @pytest.mark.parametrize("budget", [2.0, np.int32(2), np.float64(2.0)])
+    def test_integral_iteration_budgets_are_accepted(self, budget):
+        data, _ = random_dataset(seed=61, n=300, k=3)
+        fit = fit_mle(data, FitConfig(max_iterations=budget))
+        expected = fit_mle(data, FitConfig(max_iterations=2))
+        assert fit.iterations == expected.iterations
+        assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+
 
 def mixed_chunk():
     """Ten 30-row problems whose fits end in every way a fit can end.
@@ -529,7 +543,7 @@ def test_unbounded_slice_records_the_crossing_iterate(config):
     """The separated tiny-Age slice is recorded at the first iterate past
     the bound, which outranks the spent budget of ``max_iterations=1``."""
     designs, responses = mixed_chunk()
-    batch = _fit_batch(designs, responses, config)
+    batch = _fit_batch(designs.copy(), responses.copy(), config)
     assert batch.status[2] == UNBOUNDED
     data = EncodedDataset(designs[2], responses[2])
     theta = batch.coefficients[2]
@@ -603,7 +617,7 @@ def test_reused_work_matches_a_fresh_kernel(config):
     n - 1 rows, or filled with NaN give the bytes of a fresh call, on a
     stack whose slices retire at different iterates."""
     designs, responses = mixed_chunk()
-    fresh = _fit_batch(designs, responses, config)
+    fresh = _fit_batch(designs.copy(), responses.copy(), config)
     count, n, width = designs.shape
     work = _work(count + 3, n, width)
 
