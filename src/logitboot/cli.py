@@ -39,6 +39,7 @@ from .data_io import (
     _read_columns,
     _simulate_columns,
     _write_csv,
+    _write_study,
 )
 # The record-level API and the BCa steps stay importable here, where
 # bench/tracing.py wraps these names; the CLI itself works on columns,
@@ -399,7 +400,7 @@ def _cmd_simulate(args):
         # NumPy's answers to a size it cannot allocate (MemoryError) or
         # index (ValueError); spec's checks leave no other ValueError.
         raise DomainError(f"--n {spec.n} is too many rows to draw") from None
-    _write_csv(args.out, *columns)
+    _write_study(args.out, columns)
     payload = {
         "output": args.out,
         "records": spec.n,

@@ -20,10 +20,9 @@ each needed column is parsed with ``float``.  The rows are then checked
 with vector masks; on a fault, ``_row_fault`` explains the first faulty
 row from its ``csv.reader`` cells, and it is the one place the parse
 messages live.  ``_simulate_columns`` draws a study as columns,
-``_encoded`` stacks columns into an :class:`EncodedDataset` and
-``_write_csv`` writes columns under a header, by default the study's; a
-study's own arrays are written from the ages' ``repr`` and one of eight
-precomputed flag tails per row.
+``_encoded`` stacks columns into an :class:`EncodedDataset`, and
+``_write_study``, the one study writer of the CLI and :func:`save_csv`,
+writes each row as the age's ``repr`` and one of eight flag tails.
 The CLI uses these alone.  :class:`ObservationRecord` lists exist only at
 the public wrappers :func:`load_csv`, :func:`encode`, :func:`save_csv`,
 :func:`simulate` and :func:`decode`.
@@ -42,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError, SchemaError
-from .model_core import EncodedDataset, sigmoid
+from .model_core import EncodedDataset, _whole_number, sigmoid
 
 ENCODED_COLUMNS = ("Intercept", "Age", "Emp", "Gender")
 
@@ -78,7 +77,8 @@ class SimulationSpec:
 
     ``coefficients`` follow the encoded order (Intercept, Age, Emp,
     Gender).  Ages are uniform on ``[age_low, age_high]``; employment and
-    gender are Bernoulli with the given rates.
+    gender are Bernoulli with the given rates.  ``n`` and ``seed`` are
+    whole numbers (``3.0`` is one, ``True`` is not), ``seed`` of any size.
     """
 
     coefficients: tuple[float, float, float, float]
@@ -94,6 +94,7 @@ class SimulationSpec:
         if len(coefs) != 4 or not all(np.isfinite(coefs)):
             raise DomainError("exactly four finite coefficients required")
         object.__setattr__(self, "coefficients", coefs)
+        object.__setattr__(self, "n", _whole_number(self.n, "n"))
         if self.n < 1:
             raise DomainError("n must be at least 1")
         if not (np.isfinite(self.age_low) and np.isfinite(self.age_high)):
@@ -106,6 +107,7 @@ class SimulationSpec:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1]")
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
 
@@ -317,46 +319,39 @@ _FLAG_TAILS = np.array(
 )
 
 
-def _study_tails(columns):
-    """Each row's tail when ``columns`` are a study's float64 ages and 1-D
-    integer Gender, Emp and HIV arrays holding only 0 and 1; None otherwise.
-    """
-    if len(columns) != 4 or not all(isinstance(c, np.ndarray) for c in columns):
-        return None
-    age, *flags = columns
-    if (age.dtype != np.float64 or age.ndim != 1
-            or any(f.dtype.kind not in "iu" or f.shape != age.shape for f in flags)
-            or not all(((f == 0) | (f == 1)).all() for f in flags)):
-        return None
-    gender, employment, hiv = flags
-    return _FLAG_TAILS[4 * gender + 2 * employment + hiv]
+def _write_study(path, columns: _Columns) -> None:
+    # The bytes csv.writer would write: an age's repr is the shortest text
+    # that reads back as the same float.  A flag is 0/1, integer or float.
+    tails = _FLAG_TAILS[(4 * columns.gender + 2 * columns.employment
+                         + columns.hiv).astype(np.intp)]
+    body = [None] * (2 * len(tails))
+    body[::2] = map(repr, columns.age.tolist())
+    body[1::2] = tails.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("Age,Gender,Emp,HIV\r\n")
+        handle.write("".join(body))
 
 
-def _write_csv(path, *columns, header=("Age", "Gender", "Emp", "HIV")) -> None:
-    # The bytes csv.writer would write: format() gives a float, NumPy's
-    # float64 included, the shortest text that parses back to the same
-    # value, so a load round-trips, and no cell needs quoting.  That text is
-    # the float's repr, and a 0/1 integer's is "0" or "1", so a study's rows
-    # are written as the ages' reprs, each followed by a precomputed tail.
-    tails = _study_tails(columns)
-    if tails is None:
-        row = (",".join(["{}"] * len(header)) + "\r\n").format
-        body = map(row, *columns)
-    else:
-        body = [None] * (2 * len(tails))
-        body[::2] = map(repr, columns[0].tolist())
-        body[1::2] = tails.tolist()
+def _write_csv(path, *columns, header) -> None:
+    # The bytes csv.writer would write for cells that need no quoting.
+    row = (",".join(["{}"] * len(header)) + "\r\n").format
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.write("".join(body))
+        handle.write("".join(map(row, *columns)))
+
+
+def _record_columns(records: Sequence[ObservationRecord]) -> _Columns:
+    return _Columns(*(np.fromiter(map(attrgetter(f), records), float, count=len(records))
+                      for f in _Columns._fields))
 
 
 def save_csv(records: Sequence[ObservationRecord], path) -> None:
     """Write records with the canonical header ``Age,Gender,Emp,HIV``.
 
-    Ages are written with full precision so a load round-trips losslessly.
+    Ages are written as floats in full precision, so a load round-trips
+    losslessly, and flags as 0 or 1: an age ``40`` is written ``40.0``.
     """
-    _write_csv(path, *(map(attrgetter(f), records) for f in _Columns._fields))
+    _write_study(path, _record_columns(records))
 
 
 def _encoded(columns: _Columns) -> EncodedDataset:
@@ -380,10 +375,7 @@ def encode(records: Sequence[ObservationRecord]) -> EncodedDataset:
     """
     if not records:
         raise DomainError("cannot encode an empty record list")
-    n = len(records)
-    return _encoded(_Columns(*(
-        np.fromiter(map(attrgetter(f), records), float, count=n) for f in _Columns._fields
-    )))
+    return _encoded(_record_columns(records))
 
 
 def decode(data: EncodedDataset) -> list[ObservationRecord]:

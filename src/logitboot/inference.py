@@ -39,7 +39,6 @@ interpolation between order statistics: the level-``q`` quantile sits at
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -59,7 +58,7 @@ from .model_core import (
     FitConfig,
     FitResult,
     _fit_batch,
-    _whole_numbers,
+    _whole_number,
     _work,
     fit_mle,
 )
@@ -213,9 +212,11 @@ class OddsReport:
     scaled: tuple[ScaledOddsEntry, ...] = ()
 
 
-def _check_seed(master_seed: int, replicate: int) -> None:
-    if master_seed < 0 or replicate < 0:
+def _check_seed(master_seed, replicate) -> tuple[int, int]:
+    seeds = _whole_number(master_seed, "master_seed"), _whole_number(replicate, "replicate")
+    if min(seeds) < 0:
         raise DomainError("seeds and replicate indices must be non-negative")
+    return seeds
 
 
 def resample_indices(master_seed: int, replicate: int, n: int) -> np.ndarray:
@@ -226,10 +227,11 @@ def resample_indices(master_seed: int, replicate: int, n: int) -> np.ndarray:
     integers uniform on ``[0, n)``.  :func:`bootstrap_fit` draws its
     replicates a stack at a time as one block, equal to this recipe bit for
     bit; a stack's replicates that the block cannot draw exactly are drawn
-    here.
+    here.  The seed, the replicate and ``n`` are whole numbers (``3.0`` is
+    one, ``True`` is not), the seed of any size.
     """
-    _check_seed(master_seed, replicate)
-    if n < 1:
+    master_seed, replicate = _check_seed(master_seed, replicate)
+    if (n := _whole_number(n, "n")) < 1:
         raise DomainError("need at least one row to resample")
     # The generator default_rng(SeedSequence(...)) returns, built directly.
     rng = np.random.Generator(
@@ -266,15 +268,14 @@ def _mix(x, y):
     return result
 
 
-def _seed_words(master_seed: int, ids: np.ndarray) -> np.ndarray:
-    """``SeedSequence((master_seed, b)).generate_state(4, np.uint64)`` for
-    every ``b`` in ``ids`` (each below ``2**32``), one row each.
+def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, b)).generate_state(4, np.uint64)`` for every
+    ``b`` in ``ids`` (each below ``2**32``), one row each.
 
     NumPy's entropy mixing, run for all ids at once in wrapping uint32
-    arithmetic.  The entropy words are ``master_seed``'s 32-bit limbs, least
+    arithmetic.  The entropy words are ``seed``'s 32-bit limbs, least
     significant first (``[0]`` for 0), followed by ``b``.
     """
-    seed = operator.index(master_seed)
     limbs = [seed & 0xFFFFFFFF]
     while seed := seed >> 32:
         limbs.append(seed & 0xFFFFFFFF)
@@ -398,19 +399,24 @@ def bootstrap_fit(
     Replicates run serially in one thread, in chunks of consecutive
     replicate ids through the stacked kernel.  ``workers`` is accepted
     and validated (it must be at least 1) but has no effect on scheduling
-    or results.
+    or results.  ``replicates``, ``master_seed`` and ``workers`` are whole
+    numbers (``3.0`` is one, ``True`` is not), ``master_seed`` of any size.
 
     Raises
     ------
     DomainError
-        If ``replicates`` is not a whole number of at least 1, before any fit.
+        If an argument is not a whole number or ``replicates`` is outside
+        ``1 .. 2**32``, before any fit; a negative seed after the full fit.
     ResamplingInstabilityError
         If fewer than half of the requested replicates survive.
     """
-    replicates = int(_whole_numbers(replicates, "replicates"))
+    replicates = _whole_number(replicates, "replicates")
     if replicates < 1:
         raise DomainError("replicates must be at least 1")
-    if workers < 1:
+    if replicates > 2**32:  # the block drawer numbers replicates in uint32
+        raise DomainError("replicates must be at most 2**32")
+    master_seed = _whole_number(master_seed, "master_seed")
+    if _whole_number(workers, "workers") < 1:
         raise DomainError("workers must be at least 1")
     original = fit_mle(data, config)
     n = data.n_observations
@@ -477,7 +483,7 @@ def _check_survivors(result: BootstrapResult, minimum: int, method: str) -> None
 
 
 def _check_index(coefficient_index: int, width: int) -> int:
-    index = int(_whole_numbers(coefficient_index, "coefficient_index"))
+    index = _whole_number(coefficient_index, "coefficient_index")
     if not 0 <= index < width:
         raise DomainError(
             f"coefficient_index must lie in 0..{width - 1}, got {coefficient_index}"

@@ -162,11 +162,20 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     return whole
 
 
+def _whole_number(value, what: str) -> int:
+    """One value under :func:`_whole_numbers`' rule, as an int of any size."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be whole numbers, not booleans or fractions")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Solver knobs for :func:`fit_mle`.
 
-    ``max_iterations`` must be a whole number, at least 1.  ``tolerance``
+    ``max_iterations`` must be a whole number in ``[1, 2**63)``.  ``tolerance``
     bounds the largest absolute score component at convergence; it must be
     positive and finite.  ``initial_coefficients`` defaults to zeros.
     """
@@ -176,8 +185,10 @@ class FitConfig:
     initial_coefficients: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if _whole_numbers(self.max_iterations, "max_iterations") < 1:
+        if (iterations := _whole_number(self.max_iterations, "max_iterations")) < 1:
             raise DomainError("max_iterations must be at least 1")
+        if iterations >= 2**63:  # the kernel counts iterations in int64
+            raise DomainError("max_iterations must be below 2**63")
         if not (0.0 < self.tolerance < np.inf):
             raise DomainError("tolerance must be positive and finite")
         if self.initial_coefficients is not None:

@@ -26,6 +26,7 @@ from .model_core import (
     FitConfig,
     FitResult,
     _sigmoid,
+    _whole_number,
     _whole_numbers,
     fit_mle,
 )
@@ -121,10 +122,10 @@ def split_sample_fit(
 
     ``sizes`` must be whole numbers (``3.0`` is one, ``True`` is not),
     strictly increasing and at most the dataset size, and
-    ``shuffle_seed``, when given, non-negative.  A subset whose refit
-    fails (single-class response, separation, or non-convergence)
-    contributes an error string instead of a fit; the remaining sizes are
-    still fitted.
+    ``shuffle_seed``, when given, a non-negative whole number of any size.
+    A subset whose refit fails (single-class response, separation, or
+    non-convergence) contributes an error string instead of a fit; the
+    remaining sizes are still fitted.
     """
     sizes = _whole_numbers(sizes, "split sizes").tolist()
     if not sizes:
@@ -135,16 +136,14 @@ def split_sample_fit(
         raise DomainError(
             f"split sizes must lie in [1, {data.n_observations}]"
         )
-    if shuffle_seed is not None and shuffle_seed < 0:
-        raise DomainError("shuffle seed must be non-negative")
-    design = data.design
-    response = data.response
+    design, response = data.design, data.response
     if shuffle_seed is not None:
+        if (shuffle_seed := _whole_number(shuffle_seed, "shuffle seed")) < 0:
+            raise DomainError("shuffle seed must be non-negative")
         order = np.random.default_rng(
             np.random.SeedSequence(shuffle_seed)
         ).permutation(data.n_observations)
-        design = design[order]
-        response = response[order]
+        design, response = design[order], response[order]
 
     entries = []
     for size in sizes:

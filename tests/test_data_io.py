@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logitboot import (
     DomainError,
@@ -28,11 +30,12 @@ from logitboot import data_io
 from logitboot.cli import _load_dataset, main
 from logitboot.data_io import (
     ENCODED_COLUMNS,
+    _Columns,
     _plain_table,
     _read_columns,
     _simulate_columns,
-    _study_tails,
     _write_csv,
+    _write_study,
 )
 
 from conftest import GOLDEN_COEFFICIENTS, GOLDEN_COEFFICIENTS_FULL, make_fit
@@ -84,6 +87,20 @@ class TestLoadCsv:
         save_csv(records, path)
         assert path.read_text().splitlines()[1] == "25.5,0,0,1"
         assert load_csv(path) == records
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(0.0, 130.0), st.integers(0, 130), st.fractions(0, 130),
+                  st.floats(0.0, 130.0, width=32).map(np.float32)),
+        *[st.sampled_from([0, 1, 0.0, 1.0, -0.0, True, False])] * 3,
+    ), min_size=1, max_size=8))
+    def test_any_valid_record_round_trips(self, tmp_path_factory, rows):
+        # One writer for every record: ages as float reprs, flags as 0/1.
+        records = [ObservationRecord(*row) for row in rows]
+        path = tmp_path_factory.mktemp("round") / "any.csv"
+        save_csv(records, path)
+        loaded = [tuple(vars(r).values()) for r in load_csv(path)]
+        assert loaded == [(float(age), *map(int, flags)) for age, *flags in rows]
+        assert {tuple(map(type, row)) for row in loaded} == {(float, int, int, int)}
 
     def test_header_case_insensitive_and_sex_alias(self, tmp_path):
         path = write(tmp_path, "sex,AGE,emp,Hiv\n1,42.5,0,1\n")
@@ -282,7 +299,7 @@ class TestPlainPath:
     def test_plain_file_needs_no_csv_reader(self, tmp_path, monkeypatch):
         columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=400, seed=7))
         path = tmp_path / "study.csv"
-        _write_csv(path, *(c.tolist() for c in columns))
+        _write_study(path, columns)
 
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called on a plain file")
@@ -322,37 +339,39 @@ def csv_writer_bytes(path, header, columns) -> bytes:
 
 
 class TestStudyWriter:
-    """The study layout's fast path writes the bytes csv.writer would, and
-    only float64 ages with 0/1 integer flag arrays take it."""
+    """The study writer and the generic writer both write the bytes
+    csv.writer would."""
 
     HEADER = ("Age", "Gender", "Emp", "HIV")
     AGES = [0.0, -0.0, 5e-324, 1e-05, 0.1, 89.99999999999999, 130.0]
 
-    def check(self, tmp_path, columns, fast):
-        assert (_study_tails(columns) is not None) == fast
-        _write_csv(tmp_path / "fast.csv", *columns)
+    def check(self, tmp_path, columns, study):
+        if study:
+            _write_study(tmp_path / "out.csv", _Columns(*columns))
+        else:
+            _write_csv(tmp_path / "out.csv", *columns, header=self.HEADER)
         expected = csv_writer_bytes(tmp_path / "reference.csv", self.HEADER,
                                     [list(c) for c in columns])
-        assert (tmp_path / "fast.csv").read_bytes() == expected
+        assert (tmp_path / "out.csv").read_bytes() == expected
 
     def test_edge_ages_with_every_flag_combination(self, tmp_path):
         rng = np.random.default_rng(15)
         ages = np.array(self.AGES + rng.uniform(0.0, 130.0, 1000).tolist())
         combos = np.array([(g, e, y) for g in (0, 1) for e in (0, 1) for y in (0, 1)])
         flags = combos[np.arange(ages.size) % 8].T
-        self.check(tmp_path, (ages, *flags), fast=True)
+        self.check(tmp_path, (ages, *flags), study=True)
 
     @pytest.mark.parametrize("age", AGES)
     @pytest.mark.parametrize("code", range(8))
     def test_one_row(self, tmp_path, age, code):
         flags = (np.array([bit], np.int64) for bit in (code >> 2, code >> 1 & 1, code & 1))
-        self.check(tmp_path, (np.array([age]), *flags), fast=True)
+        self.check(tmp_path, (np.array([age]), *flags), study=True)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32])
     def test_other_integer_widths(self, tmp_path, dtype):
         columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=50, seed=1))
         self.check(tmp_path, (columns.age, *(c.astype(dtype) for c in columns[1:])),
-                   fast=True)
+                   study=True)
 
     def test_other_flags_take_the_generic_join(self, tmp_path):
         columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=50, seed=1))
@@ -360,12 +379,11 @@ class TestStudyWriter:
         with_two[7], with_minus_one[7] = 2, -1
         for gender in (with_two, with_minus_one, columns.gender.astype(bool),
                        columns.gender.astype(float), columns.gender.tolist()):
-            self.check(tmp_path, (columns.age, gender, *columns[2:]), fast=False)
+            self.check(tmp_path, (columns.age, gender, *columns[2:]), study=False)
 
     def test_other_ages_take_the_generic_join(self, tmp_path):
         columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=50, seed=1))
-        self.check(tmp_path, (columns.age.tolist(), *columns[1:]), fast=False)
-        assert _study_tails((columns.age.astype(np.float32), *columns[1:])) is None
+        self.check(tmp_path, (columns.age.tolist(), *columns[1:]), study=False)
 
 
 class TestEncode:
@@ -478,3 +496,18 @@ class TestSimulate:
             SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=10, employment_rate=1.5)
         with pytest.raises(DomainError):
             SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=10, seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("n", 2.5), ("n", True), ("n", np.nan),
+    ])
+    def test_seed_and_n_must_be_whole_numbers(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be whole numbers"):
+            SimulationSpec(**{"coefficients": GOLDEN_COEFFICIENTS, "n": 10, field: value})
+
+    def test_integral_seed_and_n_are_accepted(self):
+        expected = simulate(SimulationSpec(GOLDEN_COEFFICIENTS, n=50, seed=7))
+        for n, seed in ((50.0, 7.0), (np.int64(50), np.uint8(7))):
+            spec = SimulationSpec(GOLDEN_COEFFICIENTS, n=n, seed=seed)
+            assert (spec.n, spec.seed) == (50, 7)
+            assert type(spec.n) is int and type(spec.seed) is int
+            assert simulate(spec) == expected

@@ -120,6 +120,18 @@ class TestResampleIndices:
         with pytest.raises(DomainError):
             resample_indices(0, 0, 0)
 
+    @pytest.mark.parametrize("args", [
+        (True, 0, 5), (1.5, 0, 5), (0, True, 5), (0, 1.5, 5), (0, 0, 2.5), (0, 0, True),
+    ])
+    def test_arguments_must_be_whole_numbers(self, args):
+        with pytest.raises(DomainError, match="must be whole numbers"):
+            resample_indices(*args)
+
+    def test_integral_arguments_are_accepted(self):
+        expected = resample_indices(3, 2, 5)
+        for args in ((3.0, 2, 5), (3, np.float32(2.0), 5), (np.uint8(3), np.int64(2), 5.0)):
+            assert resample_indices(*args).tobytes() == expected.tobytes()
+
 
 # Master seeds as Python ints, and as NumPy ints where they fit in 64 bits;
 # the limb boundary at 2**32 is always tried.
@@ -264,6 +276,41 @@ class TestBootstrapFit:
             assert result.requested == 20 and type(result.requested) is int
             assert result.replicates.tobytes() == expected.replicates.tobytes()
             assert result.replicate_ids.tobytes() == expected.replicate_ids.tobytes()
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("master_seed", 1.5, "master_seed must be whole numbers"),
+        ("master_seed", True, "master_seed must be whole numbers"),
+        ("master_seed", np.float64(np.nan), "master_seed must be whole numbers"),
+        ("workers", 1.5, "workers must be whole numbers"),
+        ("workers", True, "workers must be whole numbers"),
+        ("replicates", 2**32 + 1, r"replicates must be at most 2\*\*32"),
+        ("replicates", 2**70, r"replicates must be at most 2\*\*32"),
+    ])
+    def test_bad_seed_workers_or_count_is_refused_before_the_fit(
+        self, study, monkeypatch, name, value, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the full fit ran for an invalid argument")
+
+        monkeypatch.setattr(logitboot.inference, "fit_mle", no_fit)
+        with pytest.raises(DomainError, match=message):
+            bootstrap_fit(study, **{"replicates": 20, name: value})
+
+    def test_integral_master_seeds_are_accepted(self, study):
+        expected = bootstrap_fit(study, replicates=20, master_seed=4)
+        for seed in (4.0, np.float32(4.0), np.int64(4), np.uint8(4)):
+            result = bootstrap_fit(study, replicates=20, master_seed=seed, workers=1.0)
+            assert result.master_seed == 4 and type(result.master_seed) is int
+            assert result.replicates.tobytes() == expected.replicates.tobytes()
+
+    def test_master_seed_of_any_size_is_kept(self, study):
+        # 2**70 is past int64, so the seed is never cast to a NumPy integer.
+        result = bootstrap_fit(study, replicates=20, master_seed=2**70)
+        assert result.master_seed == 2**70
+        rows = resample_indices(2**70, 0, study.n_observations)
+        refit = fit_mle(EncodedDataset(study.design[rows], study.response[rows]))
+        assert result.replicate_ids[0] == 0
+        assert result.replicates[0].tobytes() == refit.coefficients.tobytes()
 
 
 def test_negative_master_seed_raises_after_the_full_fit(study, monkeypatch):
@@ -490,6 +537,21 @@ class TestCoefficientIndex:
             lambda: jackknife_acceleration(study, None, index),
         ):
             with pytest.raises(DomainError, match="coefficient_index must be whole"):
+                call()
+
+    @pytest.mark.parametrize("index", [2**63, np.uint64(2**63), 2**70, -2**70])
+    def test_index_beyond_int64_gets_the_range_message(self, study, study_boot,
+                                                        monkeypatch, index):
+        def no_jackknife(*args, **kwargs):
+            raise AssertionError("jackknife ran for an index outside the columns")
+
+        monkeypatch.setattr(logitboot.inference, "jackknife_estimates", no_jackknife)
+        for call in (
+            lambda: percentile_ci(study_boot, index),
+            lambda: bca_ci(study_boot, study, None, index, acceleration=0.0),
+            lambda: jackknife_acceleration(study, None, index),
+        ):
+            with pytest.raises(DomainError, match=r"coefficient_index must lie in 0\.\.3"):
                 call()
 
     @pytest.mark.parametrize("index", [1.0, np.float32(1.0), np.int8(1)])

@@ -461,6 +461,13 @@ class TestFitMLE:
         with pytest.raises(DomainError, match="max_iterations must be whole numbers"):
             FitConfig(max_iterations=budget)
 
+    @pytest.mark.parametrize("budget", [2**63, np.uint64(2**63), 2**70, 1e19])
+    def test_iteration_budget_beyond_int64_is_refused(self, budget):
+        # The kernel counts iterations in int64.
+        with pytest.raises(DomainError, match=r"max_iterations must be below 2\*\*63"):
+            FitConfig(max_iterations=budget)
+        assert FitConfig(max_iterations=2**63 - 1).max_iterations == 2**63 - 1
+
     @pytest.mark.parametrize("budget", [2.0, np.int32(2), np.float64(2.0)])
     def test_integral_iteration_budgets_are_accepted(self, budget):
         data, _ = random_dataset(seed=61, n=300, k=3)

@@ -100,6 +100,17 @@ class TestSplitSampleFit:
         with pytest.raises(DomainError):
             split_sample_fit(study, [100], shuffle_seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, np.nan])
+    def test_shuffle_seed_must_be_a_whole_number(self, study, seed):
+        with pytest.raises(DomainError, match="shuffle seed must be whole numbers"):
+            split_sample_fit(study, [100], shuffle_seed=seed)
+
+    def test_integral_shuffle_seeds_are_accepted(self, study):
+        expected = split_sample_fit(study, [100], shuffle_seed=5).entries[0].fit
+        for seed in (5.0, np.int64(5), np.uint8(5)):
+            fit = split_sample_fit(study, [100], shuffle_seed=seed).entries[0].fit
+            assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+
     def test_shuffle_is_seeded_and_deterministic(self, study):
         a = split_sample_fit(study, [100], shuffle_seed=5)
         b = split_sample_fit(study, [100], shuffle_seed=5)
