@@ -152,23 +152,25 @@ class EncodedDataset:
         return self.design.shape[1]
 
 
-def _whole_numbers(values, what: str) -> np.ndarray:
-    # A cast alone would read True as 1 and truncate 1.9; 3.0 passes.
-    given = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        whole = given.astype(np.int64)
-    if given.dtype == bool or not np.array_equal(whole, given):
-        raise DomainError(f"{what} must be whole numbers, not booleans or fractions")
-    return whole
-
-
 def _whole_number(value, what: str) -> int:
-    """One value under :func:`_whole_numbers`' rule, as an int of any size."""
+    """``value`` as an int of any size; 3.0 is whole, True and 1.9 are not."""
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         value = int(value)
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{what} must be whole numbers, not booleans or fractions")
     return int(value)
+
+
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """:func:`_whole_number` on each entry, as a new int64 array."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.int64)  # whole by its type
+    given = np.asarray(values, dtype=object)  # the caller's entries: True stays True
+    whole = [_whole_number(v, what) for v in given.flat]
+    try:
+        return np.array(whole, dtype=np.int64).reshape(given.shape)
+    except OverflowError:
+        raise DomainError(f"{what} out of range") from None
 
 
 @dataclass(frozen=True)

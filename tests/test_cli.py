@@ -411,6 +411,16 @@ class TestSplitValidateCurves:
         doc = json.loads(out, parse_constant=lambda token: pytest.fail(token))
         assert doc["error"]["type"] == error
 
+    @pytest.mark.parametrize("sizes", [
+        "1180591620717411303424", "50,9223372036854775808",
+    ])
+    def test_split_size_past_int64_gives_an_error_document(self, study_csv, sizes):
+        code, out, err = run_cli("split", "--input", study_csv, "--sizes", sizes)
+        assert (code, err) == (1, "")
+        error = json.loads(out)["error"]
+        assert error["type"] == "DomainError"
+        assert "whole numbers" not in error["message"]
+
 
 class TestExitCodes:
     def test_usage_errors(self, study_csv):

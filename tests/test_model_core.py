@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logitboot import (
@@ -39,6 +39,8 @@ from logitboot.model_core import (
     _fit_batch,
     _information_from_probs,
     _probabilities,
+    _whole_number,
+    _whole_numbers,
     _work,
     _zero_start,
 )
@@ -719,3 +721,57 @@ class TestDevianceResiduals:
         stalled = fit_mle(data, FitConfig(max_iterations=1))
         with pytest.raises(NotConvergedError):
             deviance_residuals(stalled, data)
+
+
+# Every kind of entry a caller may hand over: ints of any size, with the
+# int64 edges always in play, integral and fractional floats, nan and
+# +-inf, booleans and NumPy scalars.
+WHOLE_NUMBER_EDGES = (2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, 2**70)
+ENTRIES = st.one_of(
+    st.integers(),
+    st.sampled_from(WHOLE_NUMBER_EDGES),
+    st.floats(),
+    st.integers(-(2**60), 2**60).map(float),
+    st.booleans(),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+# A list, a tuple, NumPy's own reading of the list (int64, uint64, float64
+# or object), or an object array of the entries as given.
+CONTAINERS = st.sampled_from(
+    [list, tuple, np.array, lambda v: np.array(v, dtype=object)]
+)
+
+
+class TestWholeNumbers:
+    @example([2**63], list)
+    @example([-(2**63) - 1], np.array)
+    @example([2**64], np.array)
+    @example([50, 2**70], list)
+    @example([True, 2], list)
+    @example([2**70, 1.5], tuple)
+    @given(st.lists(ENTRIES, max_size=6), CONTAINERS)
+    def test_each_entry_follows_the_scalar_rule(self, entries, container):
+        values = container(entries)
+        try:
+            expected = [_whole_number(v, "x") for v in values]
+        except DomainError:
+            with pytest.raises(DomainError, match="^x must be whole numbers"):
+                _whole_numbers(values, "x")
+            return
+        if not all(-(2**63) <= v < 2**63 for v in expected):
+            with pytest.raises(DomainError, match="^x out of range$"):
+                _whole_numbers(values, "x")
+            return
+        got = _whole_numbers(values, "x")
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6))
+    def test_int64_array_comes_back_as_a_copy(self, entries):
+        given_array = np.array(entries, dtype=np.int64)
+        got = _whole_numbers(given_array, "x")
+        assert got is not given_array and not np.shares_memory(got, given_array)
+        assert got.dtype == np.int64 and np.array_equal(got, given_array)

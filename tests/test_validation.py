@@ -255,6 +255,35 @@ class TestHoldoutValidate:
             holdout_validate(study, fit, indices)
 
 
+class TestWholeNumberEntries:
+    """Sizes and indices follow the scalar whole-number rule entry by entry:
+    NumPy's reading of ``[True, 2]`` as ``[1, 2]`` does not count, and a
+    whole number past int64 is out of range, not a fraction."""
+
+    @pytest.mark.parametrize("call", [
+        lambda d, fit: split_sample_fit(d, [True, 100]),
+        lambda d, fit: holdout_validate(d, fit, [True, 2]),
+        lambda d, fit: ValidationReport([0], [True, 2], 0.5, 1, 1, 0, 0),
+    ], ids=["split", "holdout", "report"])
+    def test_boolean_entry_in_a_list(self, study, call):
+        with pytest.raises(DomainError, match="must be whole numbers, not booleans"):
+            call(study, fit_mle(study))
+
+    @pytest.mark.parametrize("call", [
+        lambda d, fit: split_sample_fit(d, [2**63]),
+        lambda d, fit: split_sample_fit(d, [50, 2**63]),
+        lambda d, fit: split_sample_fit(d, [2**70]),
+        lambda d, fit: split_sample_fit(d, np.array([2**63], np.uint64)),
+        lambda d, fit: holdout_validate(d, fit, [2**63]),
+        lambda d, fit: holdout_validate(d, fit, [2**70]),
+        lambda d, fit: ValidationReport([0], [2**70], 0.5, 1, 0, 0, 0),
+    ], ids=["split-2**63", "split-50-2**63", "split-2**70", "split-uint64",
+            "holdout-2**63", "holdout-2**70", "report-2**70"])
+    def test_whole_entry_past_int64_is_out_of_range(self, study, call):
+        with pytest.raises(DomainError, match="out of range"):
+            call(study, fit_mle(study))
+
+
 class TestProbabilityCurves:
     def test_golden_reference_class_at_age_zero(self, golden_fit):
         profiles = standard_profiles()
