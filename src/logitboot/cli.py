@@ -58,6 +58,7 @@ from .errors import (
     UnknownPredictorError,
 )
 from .inference import (
+    _check_level,
     bca_intervals,
     bootstrap_fit,
     odds_report,
@@ -189,6 +190,7 @@ def _cmd_fit(args):
 def _cmd_bootstrap(args):
     data = _load_dataset(args.input)
     config = _fit_config(args)
+    _check_level(args.ci_level)
     result = bootstrap_fit(
         data,
         config,
@@ -203,8 +205,6 @@ def _cmd_bootstrap(args):
             file=sys.stderr,
         )
     fit = result.original_fit
-    if not fit.converged:
-        raise NotConvergedError("full-sample fit did not converge")
 
     methods = ("wald", "percentile", "bca") if args.ci_method == "all" else (args.ci_method,)
     level, indices = args.ci_level, range(len(fit.column_names))

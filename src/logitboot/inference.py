@@ -318,7 +318,6 @@ def _resample_rows(
     ``u * n`` is below ``(2**32 - n) % n``; a row with such a draw is filled
     by :func:`resample_indices` instead.
     """
-    _check_seed(master_seed, 0)
     pcg64 = _pcg64_from_words()
     words = _seed_words(master_seed, ids)
     half = (n + 1) // 2
@@ -393,22 +392,25 @@ def bootstrap_fit(
 ) -> BootstrapResult:
     """Case-resampling bootstrap of the maximum-likelihood fit.
 
-    Fits the full dataset first (propagating any failure), then refits each
-    of ``replicates`` resamples.  Replicates that degenerate, separate, or
-    fail to converge are dropped and counted via ``result.dropped``.
-    Replicates run serially in one thread, in chunks of consecutive
-    replicate ids through the stacked kernel.  ``workers`` is accepted
-    and validated (it must be at least 1) but has no effect on scheduling
-    or results.  ``replicates``, ``master_seed`` and ``workers`` are whole
-    numbers (``3.0`` is one, ``True`` is not), ``master_seed`` of any size.
+    Fits the full dataset first (propagating any failure, and refusing a fit
+    that did not converge), then refits each of ``replicates`` resamples.
+    Replicates that degenerate, separate, or fail to converge are dropped
+    and counted via ``result.dropped``.  They run serially, in chunks of
+    consecutive replicate ids through the stacked kernel.  ``workers`` must
+    be at least 1 but has no effect on scheduling or results.
+    ``replicates``, ``master_seed`` and ``workers`` are whole numbers
+    (``3.0`` is one, ``True`` is not), ``master_seed`` of any size.
 
     Raises
     ------
-    DomainError
-        If an argument is not a whole number or ``replicates`` is outside
-        ``1 .. 2**32``, before any fit; a negative seed after the full fit.
-    ResamplingInstabilityError
-        If fewer than half of the requested replicates survive.
+    In this order, each before the next step runs:
+    1. ``DomainError`` if an argument is not a whole number or
+       ``replicates`` is outside ``1 .. 2**32``;
+    2. the full fit's own errors, such as ``DegenerateResponseError``;
+    3. ``DomainError`` if ``master_seed`` is negative;
+    4. ``NotConvergedError`` if the full fit did not converge;
+    5. ``ResamplingInstabilityError`` after the refits, if fewer than half
+       of the requested replicates survive.
     """
     replicates = _whole_number(replicates, "replicates")
     if replicates < 1:
@@ -419,6 +421,9 @@ def bootstrap_fit(
     if _whole_number(workers, "workers") < 1:
         raise DomainError("workers must be at least 1")
     original = fit_mle(data, config)
+    _check_seed(master_seed, 0)
+    if not original.converged:
+        raise NotConvergedError("full-sample fit did not converge")
     n = data.n_observations
     fill_rows = _resample_rows(master_seed, np.arange(replicates), n)
     ids, kept = _refit_all(data, config, replicates, n, fill_rows)

@@ -71,6 +71,14 @@ def study_csv(tmp_path_factory):
     return str(path)
 
 
+def single_class_csv(tmp_path):
+    """A ten-row study whose every response is 1."""
+    path = tmp_path / "all_pos.csv"
+    rows = "\n".join(f"{20 + i},0,0,1" for i in range(10))
+    path.write_text(f"Age,Gender,Emp,HIV\n{rows}\n")
+    return str(path)
+
+
 class TestManifest:
     def test_every_run_has_one_manifest(self, study_csv):
         code, out, _ = run_cli("fit", "--input", study_csv)
@@ -200,6 +208,45 @@ class TestBootstrapCLI:
             methods.setdefault(interval["method"], 0)
             methods[interval["method"]] += 1
         assert methods == {"wald": 4, "percentile": 4, "bca": 4}
+
+    def test_unconverged_full_fit_is_refused_before_any_replicate(self, study_csv):
+        code, out, err = run_cli("bootstrap", "--input", study_csv,
+                                 "--replicates", "2000", "--max-iter", "5")
+        assert (code, err) == (3, "")
+        doc = json.loads(out)
+        assert list(doc) == ["manifest", "error"]
+        assert doc["error"] == {
+            "type": "NotConvergedError",
+            "message": "full-sample fit did not converge",
+        }
+
+    @pytest.mark.parametrize("single_class, extra, code, error", [
+        (False, ("--max-iter", "5", "--seed", "-1"), 1, "DomainError"),
+        (True, ("--seed", "-1"), 2, "DegenerateResponseError"),
+    ])
+    def test_full_fit_errors_then_seed_then_convergence(
+        self, study_csv, tmp_path, single_class, extra, code, error
+    ):
+        path = single_class_csv(tmp_path) if single_class else study_csv
+        got, out, _ = run_cli("bootstrap", "--input", path,
+                              "--replicates", "20", *extra)
+        assert got == code
+        assert json.loads(out)["error"]["type"] == error
+
+    @pytest.mark.parametrize("single_class", [False, True])
+    def test_bad_level_is_refused_before_any_refit(
+        self, study_csv, tmp_path, monkeypatch, capsys, single_class
+    ):
+        def no_refit(*args, **kwargs):
+            raise AssertionError("a bootstrap refit ran for a bad level")
+
+        path = single_class_csv(tmp_path) if single_class else study_csv
+        monkeypatch.setattr(logitboot.inference, "_refit_all", no_refit)
+        assert cli.main(["bootstrap", "--input", path,
+                         "--replicates", "10000", "--ci-level", "1.5"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith("confidence level must lie strictly")
 
     def test_insufficient_replicates_for_bca_is_numerical_failure(self, study_csv):
         code, out, _ = run_cli("bootstrap", "--input", study_csv,

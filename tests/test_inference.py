@@ -246,11 +246,16 @@ class TestBootstrapFit:
             return  # separation or singular information: a valid drop
         assert not refit.converged
 
-    def test_unstable_resampling_raises(self, study):
-        # A one-iteration budget leaves every replicate unconverged.
-        config = FitConfig(max_iterations=1)
+    def test_unstable_resampling_raises(self):
+        # Ten rows, one swap from separated: the full fit converges, but
+        # most resamples separate (89 of 200 converge at master_seed 3).
+        x = np.arange(1.0, 11.0)
+        y = (x > 5).astype(float)
+        y[4], y[5] = 1.0, 0.0
+        data = EncodedDataset(np.column_stack([np.ones(10), x]), y)
+        assert fit_mle(data).converged
         with pytest.raises(ResamplingInstabilityError):
-            bootstrap_fit(study, config, replicates=60, master_seed=3)
+            bootstrap_fit(data, replicates=200, master_seed=3)
 
     def test_rejects_bad_arguments(self, study):
         with pytest.raises(DomainError):
@@ -326,6 +331,25 @@ def test_negative_master_seed_raises_after_the_full_fit(study, monkeypatch):
     ):
         bootstrap_fit(study, replicates=20, master_seed=-1)
     assert len(fitted) == 1 and fitted[0] is study
+
+
+def no_refit(*args, **kwargs):
+    raise AssertionError("a bootstrap refit ran")
+
+
+def test_unconverged_full_fit_is_refused_before_any_refit(monkeypatch):
+    data = golden_study(400, 7)
+    assert not fit_mle(data, FitConfig(max_iterations=5)).converged
+    monkeypatch.setattr(logitboot.inference, "_refit_all", no_refit)
+    with pytest.raises(NotConvergedError, match="^full-sample fit did not converge$"):
+        bootstrap_fit(data, FitConfig(max_iterations=5), replicates=2000)
+
+
+def test_negative_seed_is_refused_before_the_convergence_gate(monkeypatch):
+    data = golden_study(400, 7)
+    monkeypatch.setattr(logitboot.inference, "_refit_all", no_refit)
+    with pytest.raises(DomainError, match="must be non-negative"):
+        bootstrap_fit(data, FitConfig(max_iterations=5), replicates=20, master_seed=-1)
 
 
 def single_refit(data, rows, config=None):
