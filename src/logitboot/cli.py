@@ -68,6 +68,7 @@ from .inference import (
 )
 from .model_core import EncodedDataset, FitConfig, FitResult, fit_mle
 from .validation import (
+    _check_threshold,
     holdout_validate,
     probability_curves,
     split_sample_fit,
@@ -182,15 +183,15 @@ def _load_dataset(path) -> EncodedDataset:
 
 
 def _cmd_fit(args):
-    data = _load_dataset(args.input)
-    fit = fit_mle(data, _fit_config(args))
+    config = _fit_config(args)
+    fit = fit_mle(_load_dataset(args.input), config)
     return _fit_payload(fit), EXIT_OK if fit.converged else EXIT_NUMERICAL
 
 
 def _cmd_bootstrap(args):
-    data = _load_dataset(args.input)
     config = _fit_config(args)
     _check_level(args.ci_level)
+    data = _load_dataset(args.input)
     result = bootstrap_fit(
         data,
         config,
@@ -232,11 +233,10 @@ def _cmd_bootstrap(args):
 
 
 def _cmd_split(args):
-    data = _load_dataset(args.input)
     sizes = _parse_list(args.sizes, "--sizes", int)
-    report = split_sample_fit(
-        data, sizes, _fit_config(args), shuffle_seed=args.shuffle_seed
-    )
+    config = _fit_config(args)
+    data = _load_dataset(args.input)
+    report = split_sample_fit(data, sizes, config, shuffle_seed=args.shuffle_seed)
     entries = [
         {"size": e.size, "error": e.error}
         if e.fit is None
@@ -247,23 +247,17 @@ def _cmd_split(args):
 
 
 def _cmd_validate(args):
+    config = _fit_config(args)
+    _check_threshold(args.threshold)
     data = _load_dataset(args.input)
-    n = data.n_observations
-    if not (0 < args.train_count < n):
+    n, m = data.n_observations, args.train_count
+    if not (0 < m < n):
         raise DomainError(
             f"--train-count must lie strictly between 0 and the row count ({n})"
         )
-    train = EncodedDataset(
-        data.design[: args.train_count],
-        data.response[: args.train_count],
-        data.column_names,
-    )
-    fit = fit_mle(train, _fit_config(args))
-    if not fit.converged:
-        raise NotConvergedError("training fit did not converge")
-    report = holdout_validate(
-        data, fit, np.arange(args.train_count, n), threshold=args.threshold
-    )
+    train = EncodedDataset(data.design[:m], data.response[:m], data.column_names)
+    fit = fit_mle(train, config)
+    report = holdout_validate(data, fit, np.arange(m, n), threshold=args.threshold)
     payload = {
         "columns": list(data.column_names),
         "train": {

@@ -165,6 +165,11 @@ def split_sample_fit(
     return SplitSampleReport(entries=tuple(entries))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (0.0 < threshold < 1.0):
+        raise DomainError("threshold must lie strictly in (0, 1)")
+
+
 def holdout_validate(
     data: EncodedDataset,
     fit: FitResult,
@@ -177,9 +182,17 @@ def holdout_validate(
     ``threshold``.  ``test_indices`` must be distinct whole numbers, as
     for :func:`split_sample_fit`.  ``train_indices`` in the report is the
     sorted complement of the test set.
+
+    Raises
+    ------
+    DomainError
+        First, if ``threshold`` does not lie strictly in (0, 1).
+    NotConvergedError
+        Then, if ``fit`` did not converge.
     """
-    if not (0.0 < threshold < 1.0):
-        raise DomainError("threshold must lie strictly in (0, 1)")
+    _check_threshold(threshold)
+    if not fit.converged:
+        raise NotConvergedError("training fit did not converge")
     if fit.coefficients.size != data.n_parameters:
         raise DimensionMismatchError("fit and dataset have different widths")
     idx = _whole_numbers(test_indices, "test indices")

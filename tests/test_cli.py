@@ -545,6 +545,35 @@ class TestExitCodes:
         assert err == "warning: response contains a single class; fitting will fail\n"
 
 
+class TestOptionsBeforeData:
+    """A bad option is refused before its subcommand reads the CSV."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fit", "--max-iter", "0"), "max_iterations must be at least 1"),
+        (("bootstrap", "--ci-level", "1.5"), "confidence level must lie strictly"),
+        (("split", "--sizes", "1,x"), "--sizes expects a comma-separated list"),
+        (("validate", "--threshold", "1.5"), "threshold must lie strictly in (0, 1)"),
+    ], ids=["max-iter", "ci-level", "sizes", "threshold"])
+    def test_bad_option_reads_no_csv(self, monkeypatch, capsys, argv, message):
+        def no_load(path):
+            raise AssertionError(f"{path} was read for a refused option")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_load)
+        assert cli.main([*argv, "--input", "study.csv"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith(message)
+
+    def test_bad_option_wins_over_a_missing_input(self, tmp_path):
+        code, out, err = run_cli("validate", "--input", str(tmp_path / "missing.csv"),
+                                 "--threshold", "1.5")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {
+            "type": "DomainError",
+            "message": "threshold must lie strictly in (0, 1)",
+        }
+
+
 class TestUnreadableInputs:
     """Input that fails below the package's own checks still ends in an
     error document, not a traceback."""

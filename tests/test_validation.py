@@ -9,6 +9,7 @@ from logitboot import (
     DomainError,
     EncodedDataset,
     FitConfig,
+    NotConvergedError,
     UnknownPredictorError,
     ValidationReport,
     default_age_grid,
@@ -253,6 +254,18 @@ class TestHoldoutValidate:
         fit = fit_mle(study)
         with pytest.raises(DomainError, match="distinct"):
             holdout_validate(study, fit, indices)
+
+
+    def test_unconverged_fit_is_refused(self, study):
+        fit = fit_mle(study, FitConfig(max_iterations=1))
+        assert not fit.converged
+        with pytest.raises(NotConvergedError, match="training fit did not converge"):
+            holdout_validate(study, fit, list(range(300, 400)))
+
+    def test_threshold_is_refused_before_convergence(self, study):
+        fit = fit_mle(study, FitConfig(max_iterations=1))
+        with pytest.raises(DomainError, match="threshold must lie strictly"):
+            holdout_validate(study, fit, list(range(300, 400)), threshold=1.5)
 
 
 class TestWholeNumberEntries:
