@@ -58,6 +58,7 @@ from .errors import (
     UnknownPredictorError,
 )
 from .inference import (
+    _check_bootstrap_args,
     _check_level,
     bca_intervals,
     bootstrap_fit,
@@ -68,6 +69,7 @@ from .inference import (
 )
 from .model_core import EncodedDataset, FitConfig, FitResult, fit_mle
 from .validation import (
+    _check_split_args,
     _check_threshold,
     holdout_validate,
     probability_curves,
@@ -191,6 +193,7 @@ def _cmd_fit(args):
 def _cmd_bootstrap(args):
     config = _fit_config(args)
     _check_level(args.ci_level)
+    _check_bootstrap_args(args.replicates, args.seed, args.workers)
     data = _load_dataset(args.input)
     result = bootstrap_fit(
         data,
@@ -235,6 +238,7 @@ def _cmd_bootstrap(args):
 def _cmd_split(args):
     sizes = _parse_list(args.sizes, "--sizes", int)
     config = _fit_config(args)
+    _check_split_args(sizes, args.shuffle_seed)
     data = _load_dataset(args.input)
     report = split_sample_fit(data, sizes, config, shuffle_seed=args.shuffle_seed)
     entries = [

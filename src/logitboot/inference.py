@@ -383,6 +383,19 @@ def _refit_all(
     return ids, np.concatenate(kept)
 
 
+def _check_bootstrap_args(replicates, master_seed, workers) -> tuple[int, int]:
+    # The rules that need no data; master_seed's sign waits for the full fit.
+    replicates = _whole_number(replicates, "replicates")
+    if replicates < 1:
+        raise DomainError("replicates must be at least 1")
+    if replicates > 2**32:  # the block drawer numbers replicates in uint32
+        raise DomainError("replicates must be at most 2**32")
+    master_seed = _whole_number(master_seed, "master_seed")
+    if _whole_number(workers, "workers") < 1:
+        raise DomainError("workers must be at least 1")
+    return replicates, master_seed
+
+
 def bootstrap_fit(
     data: EncodedDataset,
     config: FitConfig | None = None,
@@ -404,22 +417,15 @@ def bootstrap_fit(
     Raises
     ------
     In this order, each before the next step runs:
-    1. ``DomainError`` if an argument is not a whole number or
-       ``replicates`` is outside ``1 .. 2**32``;
+    1. ``DomainError`` if an argument is not a whole number,
+       ``replicates`` is outside ``1 .. 2**32`` or ``workers`` is below 1;
     2. the full fit's own errors, such as ``DegenerateResponseError``;
     3. ``DomainError`` if ``master_seed`` is negative;
     4. ``NotConvergedError`` if the full fit did not converge;
     5. ``ResamplingInstabilityError`` after the refits, if fewer than half
        of the requested replicates survive.
     """
-    replicates = _whole_number(replicates, "replicates")
-    if replicates < 1:
-        raise DomainError("replicates must be at least 1")
-    if replicates > 2**32:  # the block drawer numbers replicates in uint32
-        raise DomainError("replicates must be at most 2**32")
-    master_seed = _whole_number(master_seed, "master_seed")
-    if _whole_number(workers, "workers") < 1:
-        raise DomainError("workers must be at least 1")
+    replicates, master_seed = _check_bootstrap_args(replicates, master_seed, workers)
     original = fit_mle(data, config)
     _check_seed(master_seed, 0)
     if not original.converged:

@@ -162,13 +162,16 @@ def _whole_number(value, what: str) -> int:
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
-    """:func:`_whole_number` on each entry, as a new int64 array."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values.astype(np.int64)  # whole by its type
-    given = np.asarray(values, dtype=object)  # the caller's entries: True stays True
-    whole = [_whole_number(v, what) for v in given.flat]
+    """:func:`_whole_number` on each entry of a 1-d sequence, as a new int64 array."""
+    # A list goes in as objects, so that the caller's True stays True.
+    given = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if given.ndim != 1:
+        raise DomainError(f"{what} must be a one-dimensional sequence")
+    if given.dtype.kind == "i":
+        return given.astype(np.int64)  # whole by its type
+    whole = [_whole_number(v, what) for v in given]
     try:
-        return np.array(whole, dtype=np.int64).reshape(given.shape)
+        return np.array(whole, dtype=np.int64)
     except OverflowError:
         raise DomainError(f"{what} out of range") from None
 

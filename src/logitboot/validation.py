@@ -62,6 +62,10 @@ class ValidationReport:
     false_negative: int
 
     def __post_init__(self):
+        for name in ("train_indices", "test_indices"):
+            arr = _whole_numbers(getattr(self, name), name)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         counts = (
             self.true_positive,
             self.false_positive,
@@ -72,10 +76,6 @@ class ValidationReport:
             raise DomainError("confusion counts must be non-negative")
         if sum(counts) != len(self.test_indices):
             raise DomainError("confusion counts must sum to the test-set size")
-        for name in ("train_indices", "test_indices"):
-            arr = _whole_numbers(getattr(self, name), name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def accuracy(self) -> float:
@@ -112,6 +112,19 @@ class CurvePoint:
     probability: float
 
 
+def _check_split_args(sizes, shuffle_seed) -> tuple[list[int], int | None]:
+    # The rules that need no data; the size range needs the row count.
+    sizes = _whole_numbers(sizes, "split sizes").tolist()
+    if not sizes:
+        raise DomainError("at least one split size is required")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise DomainError("split sizes must be strictly increasing")
+    if shuffle_seed is not None:
+        if (shuffle_seed := _whole_number(shuffle_seed, "shuffle seed")) < 0:
+            raise DomainError("shuffle seed must be non-negative")
+    return sizes, shuffle_seed
+
+
 def split_sample_fit(
     data: EncodedDataset,
     sizes: Sequence[int],
@@ -120,26 +133,21 @@ def split_sample_fit(
 ) -> SplitSampleReport:
     """Refit the model on nested prefix subsets of the data.
 
-    ``sizes`` must be whole numbers (``3.0`` is one, ``True`` is not),
-    strictly increasing and at most the dataset size, and
-    ``shuffle_seed``, when given, a non-negative whole number of any size.
+    ``sizes`` must be a non-empty sequence of whole numbers (``3.0`` is
+    one, ``True`` is not), strictly increasing, and ``shuffle_seed``, when
+    given, a non-negative whole number of any size; these are checked in
+    that order, and only then that the sizes lie in ``[1, n]``.
     A subset whose refit fails (single-class response, separation, or
     non-convergence) contributes an error string instead of a fit; the
     remaining sizes are still fitted.
     """
-    sizes = _whole_numbers(sizes, "split sizes").tolist()
-    if not sizes:
-        raise DomainError("at least one split size is required")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise DomainError("split sizes must be strictly increasing")
+    sizes, shuffle_seed = _check_split_args(sizes, shuffle_seed)
     if sizes[0] < 1 or sizes[-1] > data.n_observations:
         raise DomainError(
             f"split sizes must lie in [1, {data.n_observations}]"
         )
     design, response = data.design, data.response
     if shuffle_seed is not None:
-        if (shuffle_seed := _whole_number(shuffle_seed, "shuffle seed")) < 0:
-            raise DomainError("shuffle seed must be non-negative")
         order = np.random.default_rng(
             np.random.SeedSequence(shuffle_seed)
         ).permutation(data.n_observations)
@@ -198,7 +206,7 @@ def holdout_validate(
     idx = _whole_numbers(test_indices, "test indices")
     if idx.size == 0:
         raise DomainError("test set must be non-empty")
-    ordered = np.sort(idx, axis=None)
+    ordered = np.sort(idx)
     if (ordered[1:] == ordered[:-1]).any():
         raise DomainError("test indices must be distinct")
     if ordered[0] < 0 or ordered[-1] >= data.n_observations:

@@ -551,9 +551,14 @@ class TestOptionsBeforeData:
     @pytest.mark.parametrize("argv, message", [
         (("fit", "--max-iter", "0"), "max_iterations must be at least 1"),
         (("bootstrap", "--ci-level", "1.5"), "confidence level must lie strictly"),
+        (("bootstrap", "--replicates", "0"), "replicates must be at least 1"),
+        (("bootstrap", "--workers", "0"), "workers must be at least 1"),
         (("split", "--sizes", "1,x"), "--sizes expects a comma-separated list"),
+        (("split", "--sizes", "5,3"), "split sizes must be strictly increasing"),
+        (("split", "--shuffle-seed", "-1"), "shuffle seed must be non-negative"),
         (("validate", "--threshold", "1.5"), "threshold must lie strictly in (0, 1)"),
-    ], ids=["max-iter", "ci-level", "sizes", "threshold"])
+    ], ids=["max-iter", "ci-level", "replicates", "workers", "sizes",
+            "sizes-order", "shuffle-seed", "threshold"])
     def test_bad_option_reads_no_csv(self, monkeypatch, capsys, argv, message):
         def no_load(path):
             raise AssertionError(f"{path} was read for a refused option")

@@ -101,6 +101,11 @@ class TestSplitSampleFit:
         with pytest.raises(DomainError):
             split_sample_fit(study, [100], shuffle_seed=-1)
 
+    def test_negative_shuffle_seed_comes_before_the_size_range(self, study):
+        # The seed needs no data; the range check names the row count.
+        with pytest.raises(DomainError, match="shuffle seed must be non-negative"):
+            split_sample_fit(study, [100, 401], shuffle_seed=-1)
+
     @pytest.mark.parametrize("seed", [1.5, True, np.nan])
     def test_shuffle_seed_must_be_a_whole_number(self, study, seed):
         with pytest.raises(DomainError, match="shuffle seed must be whole numbers"):
@@ -294,6 +299,20 @@ class TestWholeNumberEntries:
             "holdout-2**63", "holdout-2**70", "report-2**70"])
     def test_whole_entry_past_int64_is_out_of_range(self, study, call):
         with pytest.raises(DomainError, match="out of range"):
+            call(study, fit_mle(study))
+
+    @pytest.mark.parametrize("call", [
+        lambda d, fit: split_sample_fit(d, [[10, 20]]),
+        lambda d, fit: split_sample_fit(d, 50),
+        lambda d, fit: holdout_validate(d, fit, [[0, 1], [2, 3]]),
+        lambda d, fit: holdout_validate(d, fit, 5),
+        lambda d, fit: holdout_validate(d, fit, np.array([[0, 1]])),
+        lambda d, fit: ValidationReport([0], [[1]], 0.5, 1, 0, 0, 0),
+        lambda d, fit: ValidationReport([0], 1, 0.5, 1, 0, 0, 0),
+    ], ids=["split-nested", "split-scalar", "holdout-nested", "holdout-scalar",
+            "holdout-int-matrix", "report-nested", "report-scalar"])
+    def test_entries_come_in_one_dimension(self, study, call):
+        with pytest.raises(DomainError, match="must be a one-dimensional sequence"):
             call(study, fit_mle(study))
 
 
