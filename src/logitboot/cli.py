@@ -338,7 +338,9 @@ def _curves_fit(args) -> FitResult:
 
 
 def _cmd_curves(args):
-    fit = _curves_fit(args)
+    # A --fit-json file is data: it is read after the last option check.
+    from_file = args.coefficients is None and args.fit_json is not None
+    fit = None if from_file else _curves_fit(args)
     if not np.all(np.isfinite([args.age_from, args.age_to, args.age_step])):
         raise DomainError("--age-from, --age-to and --age-step must be finite")
     if args.age_step <= 0:
@@ -353,16 +355,18 @@ def _cmd_curves(args):
             "--age-from, --age-to and --age-step give an age grid of more than "
             f"{MAX_GRID_POINTS} points"
         )
-    grid = np.arange(args.age_from, stop, args.age_step)
     wanted = [name for name in map(str.strip, args.profiles.split(",")) if name]
     unknown = set(wanted) - set(_PROFILE_NAMES)
     if unknown or not wanted:
         raise DomainError(
             f"--profiles accepts a comma-separated subset of {', '.join(_PROFILE_NAMES)}"
         )
-    by_name = {p.name: p for p in standard_profiles(grid)}
     if args.format == "csv" and args.out is None:
         raise DomainError("--format csv requires --out FILE")
+    if from_file:
+        fit = _curves_fit(args)
+    grid = np.arange(args.age_from, stop, args.age_step)
+    by_name = {p.name: p for p in standard_profiles(grid)}
     points = [
         {"profile": p.profile, "age": p.age, "probability": p.probability}
         for p in probability_curves(fit, [by_name[name] for name in wanted])

@@ -165,7 +165,8 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     """:func:`_whole_number` on each entry of a 1-d sequence, as a new int64 array."""
     # A list goes in as objects, so that the caller's True stays True.
     given = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if given.ndim != 1:
+    # A ragged nested list comes in as a 1-d array of lists.
+    if given.ndim != 1 or (given.dtype == object and any(np.ndim(v) for v in given)):
         raise DomainError(f"{what} must be a one-dimensional sequence")
     if given.dtype.kind == "i":
         return given.astype(np.int64)  # whole by its type
@@ -381,8 +382,9 @@ def _information_from_probs(design: np.ndarray, h: np.ndarray, out=None):
     w, wx = (None, None) if out is None else out
     w = np.subtract(1.0, h, out=w)
     w *= h
-    wx = np.multiply(np.moveaxis(design, -1, 0), w, out=wx)
-    info = np.matmul(design.swapaxes(-1, -2), np.moveaxis(wx, 0, -1))
+    # Axis moves by transpose: np.moveaxis normalizes its axes in Python per call.
+    wx = np.multiply(design.transpose(-1, *range(design.ndim - 1)), w, out=wx)
+    info = np.matmul(design.swapaxes(-1, -2), wx.transpose(*range(1, wx.ndim), 0))
     # Symmetrize to wash out last-bit asymmetry from the matmul.
     return (info + info.swapaxes(-1, -2)) * 0.5
 
@@ -525,9 +527,8 @@ def _fit_batch(
         # too close to zero to invert, has non-finite information.  One
         # such matrix would make eigh fail for the whole stack, so a zero
         # matrix stands in for it and the guard below retires it.
-        finite = np.isfinite(info).all(axis=(1, 2))
-        if not finite.all():
-            info[~finite] = 0.0
+        if not np.isfinite(info).all():
+            info[~np.isfinite(info).all(axis=(1, 2))] = 0.0
         lam, vec = np.linalg.eigh(info)
         # The start is never held to the coefficient bound.  Eigenvalues
         # come in ascending order; the comparison is False when lambda_min

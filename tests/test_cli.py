@@ -569,6 +569,23 @@ class TestOptionsBeforeData:
         assert error["type"] == "DomainError"
         assert error["message"].startswith(message)
 
+    @pytest.mark.parametrize("source", ["missing", "malformed"])
+    @pytest.mark.parametrize("argv, message", [
+        (("--age-step", "0"), "--age-step must be positive"),
+        (("--age-to", "-1"), "--age-to must be at least --age-from"),
+        (("--age-step", "1e-9"), "--age-from, --age-to and --age-step give an age grid"),
+        (("--profiles", "nobody"), "--profiles accepts a comma-separated subset"),
+        (("--format", "csv"), "--format csv requires --out FILE"),
+    ], ids=["age-step", "age-to", "grid-size", "profiles", "format"])
+    def test_curves_option_before_fit_json(self, tmp_path, capsys, source, argv, message):
+        path = tmp_path / "fit.json"
+        if source == "malformed":
+            path.write_text("abc")
+        assert cli.main(["curves", "--fit-json", str(path), *argv]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith(message)
+
     def test_bad_option_wins_over_a_missing_input(self, tmp_path):
         code, out, err = run_cli("validate", "--input", str(tmp_path / "missing.csv"),
                                  "--threshold", "1.5")

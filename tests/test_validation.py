@@ -309,8 +309,11 @@ class TestWholeNumberEntries:
         lambda d, fit: holdout_validate(d, fit, np.array([[0, 1]])),
         lambda d, fit: ValidationReport([0], [[1]], 0.5, 1, 0, 0, 0),
         lambda d, fit: ValidationReport([0], 1, 0.5, 1, 0, 0, 0),
+        lambda d, fit: split_sample_fit(d, [[1], [2, 3]]),
+        lambda d, fit: holdout_validate(d, fit, [0, [1]]),
     ], ids=["split-nested", "split-scalar", "holdout-nested", "holdout-scalar",
-            "holdout-int-matrix", "report-nested", "report-scalar"])
+            "holdout-int-matrix", "report-nested", "report-scalar", "split-ragged",
+            "holdout-ragged"])
     def test_entries_come_in_one_dimension(self, study, call):
         with pytest.raises(DomainError, match="must be a one-dimensional sequence"):
             call(study, fit_mle(study))
