@@ -10,16 +10,19 @@ Encoding produces the fixed column order Intercept, Age, Emp, Gender with
 the HIV indicator as response, matching the coefficient order used
 throughout the package.
 
-The data path is columnar.  ``_read_columns`` reads a file's bytes once
-and takes one of two paths to the same columns.  A plain file, one whose
-data rows hold only ASCII digits, signs, points, exponents, commas and
-line ends (see ``_plain_table``), is parsed by ``np.loadtxt``, which reads
-a cell as ``float`` does.  Every other file, quoted, padded, non-ASCII or
-with a cell ``float`` rejects, goes through one ``csv.reader`` pass, and
-each needed column is parsed with ``float``.  The rows are then checked
-with vector masks; on a fault, ``_row_fault`` explains the first faulty
-row from its ``csv.reader`` cells, and it is the one place the parse
-messages live.  ``_simulate_columns`` draws a study as columns,
+The data path is columnar.  ``_read_columns`` reads a file's bytes once,
+and the bytes pick the parser; that is its one fork.  A plain file, one
+whose data rows hold only ASCII digits, signs, points, exponents, commas
+and line ends (see ``_plain_table``), is parsed by ``np.loadtxt``, which
+reads a cell as ``float`` does.  Every other file, quoted, padded,
+non-ASCII or with a cell ``float`` rejects, goes through one
+``csv.reader`` pass (``_csv_table``), and each cell is read by ``float``
+once stripped, NaN where ``float`` rejects it.  Both parsers give the
+header cells, a float table and the data-row count, and every step after
+that is shared: the header checks, the vector masks and, on a fault,
+``_row_fault``, which explains the first faulty row from its
+``csv.reader`` cells and is the one place the parse messages live.
+``_simulate_columns`` draws a study as columns,
 ``_encoded`` stacks columns into an :class:`EncodedDataset`, and
 ``_write_study``, the one study writer of the CLI and :func:`save_csv`,
 writes each row as the age's ``repr`` and one of eight flag tails.
@@ -136,18 +139,10 @@ def _records(columns: _Columns) -> list[ObservationRecord]:
     return list(map(ObservationRecord, *(c.tolist() for c in columns)))
 
 
-def _floats(cells, n: int) -> np.ndarray:
-    # float() is the parser the messages describe.  It ignores the padding
-    # that strip() removes, except the ASCII separators \x1c-\x1f, so a
-    # column it rejects is parsed again from stripped cells, with NaN for a
-    # non-numeric cell: NaN fails every domain mask, so its row is flagged.
-    try:
-        return np.fromiter(map(float, cells), float, count=n)
-    except ValueError:
-        return np.fromiter(map(_float_or_nan, cells), float, count=n)
-
-
 def _float_or_nan(cell: str) -> float:
+    # float() is the parser the messages describe, on the stripped cell as
+    # _row_fault reads it.  NaN fails every domain mask, so a non-numeric
+    # cell's row is flagged.
     try:
         return float(cell.strip())
     except ValueError:
@@ -187,6 +182,25 @@ def _csv_rows(raw: bytes, path) -> list[list[str]]:
     except (UnicodeDecodeError, csv.Error) as exc:
         # Bytes that are not UTF-8, or a cell over csv's field size limit.
         raise SchemaError(f"{path}: unreadable as a UTF-8 CSV file ({exc})") from None
+
+
+def _csv_table(raw: bytes, path):
+    """What :func:`_plain_table` gives, for any file, and the data-row count.
+
+    The table holds the data rows before the first ragged one, so it may
+    be shorter than the count; the ragged row is itself a fault, so no row
+    after it matters.  Each cell is read by :func:`_float_or_nan`.
+    """
+    rows = _csv_rows(raw, path)
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    head, body = rows[0], rows[1:]
+    width = len(head)
+    lengths = np.fromiter(map(len, body), np.intp, count=len(body))
+    ragged = np.flatnonzero(lengths != width)
+    n = int(ragged[0]) if ragged.size else len(body)
+    cells = map(_float_or_nan, chain.from_iterable(body[:n]))
+    return head, np.fromiter(cells, float, count=n * width).reshape(n, width), len(body)
 
 
 # Every byte a plain data row may hold: digits, sign, point, exponent,
@@ -236,13 +250,8 @@ def _read_columns(path) -> _Columns:
     with open(path, "rb") as handle:
         raw = handle.read()
     plain = _plain_table(raw)
-    if plain is None:
-        rows = _csv_rows(raw, path)
-        if not rows:
-            raise SchemaError(f"{path}: empty file")
-        head, body = rows[0], rows[1:]
-    else:
-        head, table = plain
+    # np.loadtxt read every data row, so a plain table's length is the count.
+    head, table, count = _csv_table(raw, path) if plain is None else (*plain, len(plain[1]))
 
     header = [cell.strip() for cell in head]
     positions: dict[str, int] = {}
@@ -263,22 +272,10 @@ def _read_columns(path) -> _Columns:
             stacklevel=3,
         )
 
-    if plain is None:
-        if not body:
-            raise SchemaError(f"{path}: no data rows")
-        # The rows before the first ragged one are read, as one flat list
-        # whose every width-th cell is a column; the ragged row is itself a
-        # fault, so no row after it matters.
-        width = len(header)
-        lengths = np.fromiter(map(len, body), np.intp, count=len(body))
-        ragged = np.flatnonzero(lengths != width)
-        n = int(ragged[0]) if ragged.size else len(body)
-        count = len(body)
-        cells = list(chain.from_iterable(body[:n]))
-        values = {field: _floats(cells[pos::width], n) for field, pos in positions.items()}
-    else:
-        n = count = len(table)
-        values = {field: table[:, pos] for field, pos in positions.items()}
+    if not count:
+        raise SchemaError(f"{path}: no data rows")
+    n = len(table)
+    values = {field: table[:, pos] for field, pos in positions.items()}
     age = values["age"]
     good = (AGE_MIN <= age) & (age <= AGE_MAX)
     for field in _FLAGS:
@@ -286,8 +283,8 @@ def _read_columns(path) -> _Columns:
     bad = np.flatnonzero(~good)
     if bad.size or n < count:
         row = int(bad[0]) if bad.size else n
-        # The csv path is the one place a row's cells are read as text.
-        faulty = body[row] if plain is None else _csv_rows(raw, path)[row + 1]
+        # The faulty row's cells as csv.reader reads them, on either path.
+        faulty = _csv_rows(raw, path)[row + 1]
         raise ParseError(row + 1, _row_fault(faulty, header, positions))
     # A flag compared with 1 reads a "-0" cell as +0, as int() does.
     return _Columns(age, *((values[f] == 1.0).astype(np.int64) for f in _FLAGS))

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logitboot import (
@@ -274,6 +274,28 @@ PLAIN_PARITY = [
                  id="header-not-utf8"),
 ]
 
+# Headers for the parity property: canonical, reordered, the Sex alias, an
+# extra column, and a byte order mark.
+PARITY_HEADERS = ["Age,Gender,Emp,HIV", "HIV,Emp,Gender,Age", "Sex,Age,Emp,HIV",
+                  "Age,Gender,Emp,HIV,PMOT", "\ufeffAge,Gender,Emp,HIV"]
+# Cells np.loadtxt reads, most of them 0/1 so that some files load, and
+# cells it rejects: three of the plain alphabet and four only csv.reader reads.
+NUMBER_CELLS = ["0", "1", "-0", "1.0", "+1"] * 3 + ["20", ".5", "1e1", "200", "2"]
+OTHER_CELLS = ["1e", "-", ".", " 1", "1_0", "", "abc"]
+
+
+def parity_rows(cells, steps):
+    # Up to six rows; each is the header's width plus a step, so a nonzero
+    # step makes it ragged.
+    row = st.tuples(st.lists(st.sampled_from(cells), min_size=6, max_size=6),
+                    st.sampled_from(steps))
+    return st.lists(row, max_size=6)
+
+
+# Files of numbers with no ragged row, and files with any cell and ragged rows.
+PARITY_ROWS = st.one_of(parity_rows(NUMBER_CELLS, [0]),
+                        parity_rows(NUMBER_CELLS + OTHER_CELLS * 2, [0] * 4 + [-1, 1]))
+
 
 class TestPlainPath:
     """np.loadtxt reads plain files; every file gives what csv.reader gives."""
@@ -306,6 +328,42 @@ class TestPlainPath:
 
         monkeypatch.setattr(data_io.csv, "reader", refuse)
         read = _read_columns(path)
+        assert [c.tobytes() for c in read] == [c.tobytes() for c in columns]
+
+    @settings(max_examples=200)
+    @given(
+        header=st.sampled_from(PARITY_HEADERS),
+        rows=PARITY_ROWS,
+        end=st.sampled_from(["\n", "\r\n"]),
+        final=st.booleans(),
+    )
+    def test_any_file_gives_what_the_csv_path_gives(self, tmp_path_factory, header,
+                                                    rows, end, final):
+        width = header.count(",") + 1
+        lines = [header] + [",".join(cells[:width + step]) for cells, step in rows]
+        path = tmp_path_factory.mktemp("parity") / "data.csv"
+        path.write_text(end.join(lines) + end * final, encoding="utf-8")
+        got = outcome(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_io, "_plain_table", lambda raw: None)
+            assert got == outcome(path)
+
+    def test_csv_file_needs_one_csv_reader_pass(self, tmp_path, monkeypatch):
+        columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=400, seed=7))
+        path = tmp_path / "study.csv"
+        _write_study(path, columns)
+        path.write_bytes(path.read_bytes().replace(b",", b", "))
+        assert _plain_table(path.read_bytes()) is None
+        passes = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(data_io.csv, "reader", counted)
+        read = _read_columns(path)
+        assert len(passes) == 1
         assert [c.tobytes() for c in read] == [c.tobytes() for c in columns]
 
 
