@@ -58,8 +58,10 @@ from .errors import (
     UnknownPredictorError,
 )
 from .inference import (
+    MIN_BCA_REPLICATES,
     _check_bootstrap_args,
     _check_level,
+    _check_survivors,
     bca_intervals,
     bootstrap_fit,
     odds_report,
@@ -191,9 +193,13 @@ def _cmd_fit(args):
 
 
 def _cmd_bootstrap(args):
+    methods = ("wald", "percentile", "bca") if args.ci_method == "all" else (args.ci_method,)
     config = _fit_config(args)
     _check_level(args.ci_level)
     _check_bootstrap_args(args.replicates, args.seed, args.workers)
+    if "bca" in methods:
+        # Survivors never outnumber the replicates asked for.
+        _check_survivors(args.replicates, MIN_BCA_REPLICATES, "BCa")
     data = _load_dataset(args.input)
     result = bootstrap_fit(
         data,
@@ -210,7 +216,6 @@ def _cmd_bootstrap(args):
         )
     fit = result.original_fit
 
-    methods = ("wald", "percentile", "bca") if args.ci_method == "all" else (args.ci_method,)
     level, indices = args.ci_level, range(len(fit.column_names))
     intervals = []
     if "wald" in methods:

@@ -37,7 +37,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -172,13 +172,13 @@ def _row_fault(cells, header, positions) -> str:
     return _AGE_DOMAIN
 
 
-def _csv_rows(raw: bytes, path) -> list[list[str]]:
-    # The rows csv.reader gives for the file opened as UTF-8 text.  The
-    # text layer decodes in the same chunks as it does from disk, so a
-    # decoding error cites the same position.
+def _csv_rows(raw: bytes, path, stop=None) -> list[list[str]]:
+    # The rows csv.reader gives for the file opened as UTF-8 text, up to
+    # ``stop`` of them.  The text layer decodes in the same chunks as it
+    # does from disk, so a decoding error cites the same position.
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
     try:
-        return list(csv.reader(text))
+        return list(islice(csv.reader(text), stop))
     except (UnicodeDecodeError, csv.Error) as exc:
         # Bytes that are not UTF-8, or a cell over csv's field size limit.
         raise SchemaError(f"{path}: unreadable as a UTF-8 CSV file ({exc})") from None
@@ -283,8 +283,9 @@ def _read_columns(path) -> _Columns:
     bad = np.flatnonzero(~good)
     if bad.size or n < count:
         row = int(bad[0]) if bad.size else n
-        # The faulty row's cells as csv.reader reads them, on either path.
-        faulty = _csv_rows(raw, path)[row + 1]
+        # The faulty row's cells as csv.reader reads them, on either path;
+        # the reader stops there.
+        faulty = _csv_rows(raw, path, row + 2)[row + 1]
         raise ParseError(row + 1, _row_fault(faulty, header, positions))
     # A flag compared with 1 reads a "-0" cell as +0, as int() does.
     return _Columns(age, *((values[f] == 1.0).astype(np.int64) for f in _FLAGS))

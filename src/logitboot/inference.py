@@ -485,11 +485,11 @@ def wald_ci(fit: FitResult, level: float = 0.95) -> list[IntervalEstimate]:
     return out
 
 
-def _check_survivors(result: BootstrapResult, minimum: int, method: str) -> None:
-    if result.converged < minimum:
+def _check_survivors(survivors: int, minimum: int, method: str) -> None:
+    if survivors < minimum:
         raise InsufficientReplicatesError(
             f"{method} interval needs at least {minimum} surviving replicates, "
-            f"have {result.converged}"
+            f"have {survivors}"
         )
 
 
@@ -519,7 +519,7 @@ def percentile_ci(
         If ``coefficient_index`` is not in ``0 .. p - 1``.
     """
     _check_level(level)
-    _check_survivors(result, MIN_PERCENTILE_REPLICATES, "percentile")
+    _check_survivors(result.converged, MIN_PERCENTILE_REPLICATES, "percentile")
     coefficient_index = _check_index(coefficient_index, result.replicates.shape[1])
     column = result.replicates[:, coefficient_index]
     alpha = (1.0 - level) / 2.0
@@ -628,7 +628,7 @@ def bca_ci(
         If ``coefficient_index`` is not in ``0 .. p - 1``.
     """
     _check_level(level)
-    _check_survivors(result, MIN_BCA_REPLICATES, "BCa")
+    _check_survivors(result.converged, MIN_BCA_REPLICATES, "BCa")
     coefficient_index = _check_index(coefficient_index, result.replicates.shape[1])
     column = result.replicates[:, coefficient_index]
     alpha = (1.0 - level) / 2.0
@@ -691,7 +691,7 @@ def bca_intervals(
         leave-one-out refits that converge.
     """
     _check_level(level)
-    _check_survivors(result, MIN_BCA_REPLICATES, "BCa")
+    _check_survivors(result.converged, MIN_BCA_REPLICATES, "BCa")
     loo = jackknife_estimates(data, config)
     return [
         bca_ci(result, data, config, j, level,

@@ -20,9 +20,11 @@ positive counts as singular, and so does information with a non-finite
 entry, which ``eigh`` never sees), the Newton step and the final covariance.
 
 Every fit runs through one Newton kernel, ``_fit_batch``, which iterates a
-stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once.  One
-status decision per iterate retires slices, single-class ones included, and
-is the kernel's only exit; step-halving re-evaluates the whole live stack.
+stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once.  Each
+iterate runs in the order of the math: factor the information, form the
+Newton step from the factor, decide, retire.  That one status decision per
+iterate retires slices, single-class ones included, and is the kernel's
+only exit; step-halving re-evaluates the whole live stack.
 :func:`fit_mle` is its ``B = 1`` case; the bootstrap and the jackknife hand
 it a chunk of refits at a time.  Each slice's result is bit-identical to
 fitting that slice alone, whatever else is in the stack, because every
@@ -416,8 +418,9 @@ class _Batch(NamedTuple):
 
     Each slice records the iterate it left at, with its log-likelihood and
     the ``eigenvalues`` (ascending) and ``eigenvectors`` of the information
-    there: the start for a ``SINGLE_CLASS`` slice, and for an ``UNBOUNDED``
-    one the first iterate past ``COEFFICIENT_BOUND``.
+    there, the factor the retiring decision saw: the start for a
+    ``SINGLE_CLASS`` slice, and for an ``UNBOUNDED`` one the first iterate
+    past ``COEFFICIENT_BOUND``.
     """
 
     coefficients: np.ndarray  # (B, p)
@@ -462,11 +465,15 @@ def _fit_batch(
 
     Each slice follows exactly the iteration :func:`fit_mle` documents, and
     its results are bit-identical to fitting that slice alone (see the
-    module docstring).  At the top of each iterate one decision retires
-    slices, the first match winning: ``SINGLE_CLASS`` (so at iteration 0),
-    ``UNBOUNDED`` (not tested at the start), ``SINGULAR``, ``CONVERGED``,
-    then ``NOT_CONVERGED`` at the budget.  It is the only place a result
-    is written.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood
+    module docstring).  Each iterate factors the information with ``eigh``
+    and forms every live slice's Newton step from that factor; then one
+    decision retires slices, the first match winning: ``SINGLE_CLASS`` (so
+    at iteration 0), ``UNBOUNDED`` (not tested at the start), ``SINGULAR``,
+    ``CONVERGED``, then ``NOT_CONVERGED`` at the budget.  It is the only
+    place a result is written.  Compaction carries a live slice's place,
+    iterate, log-likelihood and step past it; the score and the factor are
+    dead by then, and the step of a retired slice, which may not be finite,
+    is never read.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood
     and then its probabilities, so each evaluated iterate costs one ``exp``.
     A halving pass halves the short slices' steps and re-evaluates the
     whole live stack; an accepted slice's candidate is unchanged, so it
@@ -530,6 +537,13 @@ def _fit_batch(
         if not np.isfinite(info).all():
             info[~np.isfinite(info).all(axis=(1, 2))] = 0.0
         lam, vec = np.linalg.eigh(info)
+        # The Newton step from the factor, for every live slice.  A slice
+        # that retires below may have a non-finite one, which nothing reads,
+        # so forming it warns of nothing; a live slice whose step is not
+        # finite meets the non-finite guard above at its next iterate.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratios = np.matmul(vec.swapaxes(1, 2), grad[..., None]) / lam[..., None]
+            step = np.matmul(vec, ratios)[..., 0]
         # The start is never held to the coefficient bound.  Eigenvalues
         # come in ascending order; the comparison is False when lambda_min
         # is zero, negative or NaN, so those count as singular too.
@@ -560,12 +574,10 @@ def _fit_batch(
             order[holes] = moved = np.flatnonzero(~done[live:]) + live
             X[holes], y[holes] = X[moved], y[moved]
             X, y = X[:live], y[:live]
-            slots, single, theta, loglik, grad, lam, vec = (
-                a[order] for a in (slots, single, theta, loglik, grad, lam, vec)
-            )
+            slots, theta, loglik, step = (a[order] for a in (slots, theta, loglik, step))
+            # Every single-class slice retired at the first decision.
+            single = False
             (eta, e, h, w), wx = buffers(live)
-        ratios = np.matmul(vec.swapaxes(1, 2), grad[..., None]) / lam[..., None]
-        step = np.matmul(vec, ratios)[..., 0]
         candidate = theta + step
         # h and w are free until the accepted candidate's probabilities, so
         # they hold the log-likelihood's per-row terms.

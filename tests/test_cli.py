@@ -280,6 +280,21 @@ class TestBootstrapCLI:
                          "--ci-method", "bca", *extra]) == code
         assert json.loads(capsys.readouterr().out)["error"]["type"] == error
 
+    def test_too_few_replicates_for_bca_is_refused_before_the_read(
+        self, monkeypatch, capsys
+    ):
+        # Survivors never outnumber the replicates asked for.
+        def no_read(path):
+            raise AssertionError("the CSV was read for a BCa request that must fail")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_read)
+        assert cli.main(["bootstrap", "--input", "missing.csv",
+                         "--replicates", "300", "--ci-method", "bca"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "InsufficientReplicatesError",
+            "message": "BCa interval needs at least 1000 surviving replicates, have 300",
+        }
+
     def test_bca_bounds_equal_the_library(self, study_csv):
         code, out, _ = run_cli("bootstrap", "--input", study_csv,
                                "--replicates", "1000", "--seed", "5",

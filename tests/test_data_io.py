@@ -366,6 +366,27 @@ class TestPlainPath:
         assert len(passes) == 1
         assert [c.tobytes() for c in read] == [c.tobytes() for c in columns]
 
+    def test_faulty_row_is_read_no_further_than_itself(self, tmp_path, monkeypatch):
+        columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=2000, seed=7))
+        path = tmp_path / "study.csv"
+        _write_study(path, columns)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[3] = lines[3][:-1] + b"2"  # data row 3's last flag
+        path.write_bytes(b"\r\n".join(lines))
+        assert _plain_table(path.read_bytes()) is not None
+        yielded = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                yielded.append(row)
+                yield row
+
+        monkeypatch.setattr(data_io.csv, "reader", counted)
+        with pytest.raises(ParseError, match="row 3"):
+            _read_columns(path)
+        assert len(yielded) <= 4
+
 
 def test_writer_matches_csv_writer(tmp_path):
     columns = _simulate_columns(SimulationSpec(GOLDEN_COEFFICIENTS, n=1000, seed=3))

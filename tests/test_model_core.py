@@ -690,6 +690,20 @@ class TestNonFiniteIterate:
         for field in alone._fields:
             assert getattr(batch, field)[1].tobytes() == getattr(alone, field)[0].tobytes()
 
+    # The step is formed before the decision, so a retiring slice's step
+    # overflows here; it is never taken and must not warn.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "age_scale, start, match",
+        [(10.0, (0.0, 50.0, 0.0, 0.0), "exceeded"),
+         (1e4, tuple(np.linspace(-5, 5, 4)), "singular")],
+    )
+    def test_retired_slice_step_is_silent(self, age_scale, start, match):
+        design, response = self.study(age_scale)
+        config = FitConfig(initial_coefficients=start)
+        with pytest.raises(SeparationError, match=match):
+            fit_mle(EncodedDataset(design, response), config)
+
 
 class TestDevianceResiduals:
     def test_hand_value_at_even_odds(self):
