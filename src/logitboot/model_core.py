@@ -14,10 +14,25 @@ information is ``X' W X`` with ``W = diag(H (1 - H))``; because the logistic
 link is canonical, the observed information equals the expected (Fisher)
 information, so Newton-Raphson and Fisher scoring coincide here.
 
-The information is eigendecomposed once per iterate.  That one factor gives
-the conditioning guard lambda_max / lambda_min (a lambda_min that is not
-positive counts as singular, and so does information with a non-finite
-entry, which ``eigh`` never sees), the Newton step and the final covariance.
+The information I is Cholesky-factored once per iterate, I = L L'.  The
+inverse factor gives the Newton step L^-T (L^-1 g), the final covariance
+L^-T L^-1 and a bound on the condition number, cond(I) <= tr(I)
+||L^-1||_F^2 <= p cond(I).  The conditioning guard is lambda_max /
+lambda_min from ``eigh`` (a lambda_min that is not positive counts as
+singular, and so does information with a non-finite entry, which ``eigh``
+never sees).  ``eigh`` runs only on the slices whose factor fails or whose
+bound passes half of ``CONDITION_LIMIT``, and those slices take their step
+and covariance from its factor; every other slice is certainly not
+singular.
+
+A fit converges when its largest absolute score component is at most the
+tolerance, or when its Newton decrement g' I^-1 g has stayed below the
+log-likelihood's rounding noise for two iterates running: at that floor
+the score only drifts with rounding, and whether it ever dips below the
+tolerance depends on the CPU's kernels.  A step is halved when its
+candidate's log-likelihood falls by more than that noise, except a step
+whose decrement is within it: such a step promises less than the noise,
+so whatever shortfall its candidate shows is rounding.
 
 Every fit runs through one Newton kernel, ``_fit_batch``, which iterates a
 stack of problems ``designs[B, n, p]``, ``responses[B, n]`` at once.  Each
@@ -31,7 +46,8 @@ fitting that slice alone, whatever else is in the stack, because every
 per-slice product is the stacked form of the 2-d one and so runs the same
 BLAS or LAPACK routine: a matrix-vector ``matmul`` for ``X @ theta`` and the
 score, a ``(1, n) @ (n, 1)`` dot for ``y . eta``, a row-wise pairwise sum
-for ``sum ln(1 + exp(eta))``, ``X' (X w)`` and ``eigh``.  Forms that sum in
+for ``sum ln(1 + exp(eta))``, ``X' (X w)``, ``cholesky``, ``inv`` and
+``eigh`` (the last on whichever slices need it).  Forms that sum in
 another order (``einsum``, a weighted ``bincount``, an elementwise product
 summed) differ in the last bits and would break that.
 
@@ -78,10 +94,17 @@ COEFFICIENT_BOUND = 30.0
 # are treated as numerically singular (collinear predictors).
 CONDITION_LIMIT = 1e12
 
+# A slice whose Cholesky bound on the condition number, which can exceed
+# the true one p-fold, stays at most this is decided without eigh.  The
+# margin under CONDITION_LIMIT covers eigh's own error in lambda_min, about
+# lambda_max * eps.
+_FACTOR_LIMIT = CONDITION_LIMIT / 2
+
 MAX_STEP_HALVINGS = 10
 
-# A candidate is short, and its step halved, when its log-likelihood falls
-# more than this many units of 1 + |log-likelihood| below the iterate's.
+# The log-likelihood's rounding noise, in units of 1 + |log-likelihood|.  A
+# candidate is short, and its step halved, when its log-likelihood falls
+# more than this below the iterate's; a Newton decrement below it is noise.
 _LOGLIK_SLACK = 8.0 * np.finfo(float).eps
 
 # Closed-interval clamp keeping sigmoid output strictly inside (0, 1).
@@ -183,9 +206,9 @@ def _whole_numbers(values, what: str) -> np.ndarray:
 class FitConfig:
     """Solver knobs for :func:`fit_mle`.
 
-    ``max_iterations`` must be a whole number in ``[1, 2**63)``.  ``tolerance``
-    bounds the largest absolute score component at convergence; it must be
-    positive and finite.  ``initial_coefficients`` defaults to zeros.
+    ``max_iterations`` must be a whole number in ``[1, 2**63)``.  A fit whose
+    largest absolute score component is at most ``tolerance`` has converged;
+    it must be positive and finite.  ``initial_coefficients`` defaults to zeros.
     """
 
     max_iterations: int = 25
@@ -417,18 +440,18 @@ class _Batch(NamedTuple):
     """Per-slice results of :func:`_fit_batch`, in the order of its stack.
 
     Each slice records the iterate it left at, with its log-likelihood and
-    the ``eigenvalues`` (ascending) and ``eigenvectors`` of the information
-    there, the factor the retiring decision saw: the start for a
-    ``SINGLE_CLASS`` slice, and for an ``UNBOUNDED`` one the first iterate
-    past ``COEFFICIENT_BOUND``.
+    the ``covariance``, the inverse of the information there, formed from
+    the factor the retiring decision saw: the start for a ``SINGLE_CLASS``
+    slice, and for an ``UNBOUNDED`` one the first iterate past
+    ``COEFFICIENT_BOUND``.  It is not finite where that information is
+    singular.
     """
 
     coefficients: np.ndarray  # (B, p)
     log_likelihood: np.ndarray  # (B,)
     iterations: np.ndarray  # (B,)
     status: np.ndarray  # (B,) of CONVERGED ... UNBOUNDED
-    eigenvalues: np.ndarray  # (B, p)
-    eigenvectors: np.ndarray  # (B, p, p)
+    covariance: np.ndarray  # (B, p, p)
 
 
 def _zero_start(h: np.ndarray) -> np.ndarray:
@@ -445,6 +468,26 @@ def _zero_start(h: np.ndarray) -> np.ndarray:
     loglik = np.full(h.shape[0], 0.0 - terms.sum())
     h.fill(0.5)
     return loglik
+
+
+def _inverse_factor(info: np.ndarray) -> np.ndarray:
+    """The inverse ``L^-1`` of the Cholesky factor ``L L' = info`` of each
+    slice of a ``(B, p, p)`` stack, NaN where the slice has none.
+
+    ``np.linalg.cholesky`` and ``inv`` refuse the whole stack when one
+    slice fails; the slices are then factored one by one, by the same
+    LAPACK calls, so each slice's bits do not depend on its neighbours.
+    """
+    try:
+        return np.linalg.inv(np.linalg.cholesky(info))
+    except np.linalg.LinAlgError:
+        inv_lower = np.full_like(info, np.nan)
+        for k, matrix in enumerate(info):
+            try:
+                inv_lower[k] = np.linalg.inv(np.linalg.cholesky(matrix))
+            except np.linalg.LinAlgError:
+                pass
+        return inv_lower
 
 
 def _work(count: int, n: int, width: int) -> np.ndarray:
@@ -465,16 +508,19 @@ def _fit_batch(
 
     Each slice follows exactly the iteration :func:`fit_mle` documents, and
     its results are bit-identical to fitting that slice alone (see the
-    module docstring).  Each iterate factors the information with ``eigh``
-    and forms every live slice's Newton step from that factor; then one
+    module docstring).  Each iterate factors the information by Cholesky,
+    and by ``eigh`` for the slices the condition bound flags, and forms
+    every live slice's Newton step and decrement from its factor; then one
     decision retires slices, the first match winning: ``SINGLE_CLASS`` (so
     at iteration 0), ``UNBOUNDED`` (not tested at the start), ``SINGULAR``,
     ``CONVERGED``, then ``NOT_CONVERGED`` at the budget.  It is the only
-    place a result is written.  Compaction carries a live slice's place,
-    iterate, log-likelihood and step past it; the score and the factor are
-    dead by then, and the step of a retired slice, which may not be finite,
-    is never read.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood
-    and then its probabilities, so each evaluated iterate costs one ``exp``.
+    place a result is written, the covariance formed there from the
+    retiring slices' factors.  Compaction carries a live slice's place,
+    iterate, log-likelihood, step, count of sub-noise decrements and
+    halving threshold past it; the score and the factor are dead by then,
+    and the step of a retired slice, which may not be finite, is never
+    read.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood and
+    then its probabilities, so each evaluated iterate costs one ``exp``.
     A halving pass halves the short slices' steps and re-evaluates the
     whole live stack; an accepted slice's candidate is unchanged, so it
     evaluates to the same bits again.
@@ -517,39 +563,68 @@ def _fit_batch(
         log_likelihood=np.empty(count),
         iterations=np.empty(count, dtype=np.int64),
         status=np.empty(count, dtype=np.int64),
-        eigenvalues=np.empty((count, width)),
-        eigenvectors=np.empty((count, width, width)),
+        covariance=np.empty((count, width, width)),
     )
     positives = responses.sum(axis=1)
     single = (positives == 0) | (positives == n)
     # slots maps each live slice to its place in the stack.
     slots = np.arange(count)
     X, y = designs, responses
-    iterations = 0
+    iterations, stall = 0, -1
     while slots.size:
         residual = np.subtract(y, h, out=w)
         grad = np.matmul(X.swapaxes(1, 2), residual[..., None])[..., 0]
         info = _information_from_probs(X, h, (w, wx))
         # An iterate that overflowed, say after a step through information
-        # too close to zero to invert, has non-finite information.  One
-        # such matrix would make eigh fail for the whole stack, so a zero
-        # matrix stands in for it and the guard below retires it.
+        # too close to zero to invert, has non-finite information.  A zero
+        # matrix stands in for it, which fails the factor and which eigh
+        # finds singular.
         if not np.isfinite(info).all():
             info[~np.isfinite(info).all(axis=(1, 2))] = 0.0
-        lam, vec = np.linalg.eigh(info)
-        # The Newton step from the factor, for every live slice.  A slice
-        # that retires below may have a non-finite one, which nothing reads,
-        # so forming it warns of nothing; a live slice whose step is not
-        # finite meets the non-finite guard above at its next iterate.
+        inv_lower = _inverse_factor(info)
+        # The Newton step L^-T (L^-1 g) for every live slice, and its
+        # decrement g' step.  A slice that retires below may have a
+        # non-finite step, which nothing reads, so forming it warns of
+        # nothing; a live slice whose step is not finite meets the
+        # non-finite guard above at its next iterate.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = np.matmul(vec.swapaxes(1, 2), grad[..., None]) / lam[..., None]
-            step = np.matmul(vec, ratios)[..., 0]
-        # The start is never held to the coefficient bound.  Eigenvalues
-        # come in ascending order; the comparison is False when lambda_min
-        # is zero, negative or NaN, so those count as singular too.
+            # cond(info) <= tr(info) ||L^-1||_F^2, so a slice whose bound is
+            # at most _FACTOR_LIMIT is not singular.  The rest, a failed
+            # factor's NaN bound included, are decided by eigh and take
+            # their step and covariance from its factor.
+            bound = info.trace(axis1=1, axis2=2) * np.square(inv_lower).sum(axis=(1, 2))
+            flagged = ~(bound <= _FACTOR_LIMIT)
+            step = np.matmul(
+                inv_lower.swapaxes(1, 2), np.matmul(inv_lower, grad[..., None])
+            )[..., 0]
+            singular = False
+            if eigen := flagged.any():
+                lam, vec = np.linalg.eigh(info[flagged])
+                # Eigenvalues come in ascending order; the comparison is
+                # False when lambda_min is zero, negative or NaN, so those
+                # count as singular too.
+                singular = flagged.copy()
+                singular[flagged] = ~(lam[:, 0] * CONDITION_LIMIT > lam[:, -1])
+                ratios = np.matmul(vec.swapaxes(1, 2), grad[flagged, :, None]) / lam[..., None]
+                step[flagged] = np.matmul(vec, ratios)[..., 0]
+                eigen_cov = np.matmul(vec / lam[:, None, :], vec.swapaxes(1, 2))
+            decrement = (grad * step).sum(axis=1)
+        # The log-likelihood's rounding noise.  A decrement below it for
+        # two iterates running means the optimum is reached, whatever the
+        # score's own noise; stall counts them, from -1 so that the start's
+        # does not count.
+        slack = _LOGLIK_SLACK * (1.0 + np.abs(loglik))
+        flat = decrement < slack
+        stall = (stall + 1) * flat
+        # A candidate below `least` has its step halved.  Halve only on
+        # decreases beyond the slack; reacting to one-ulp regressions near
+        # the optimum would defeat Newton's quadratic tail.  A step whose
+        # decrement, twice the gain it promises, is within the slack is
+        # never halved: any shortfall its candidate shows is rounding.
+        least = np.where(flat, -np.inf, loglik - slack)
+        # The start is never held to the coefficient bound.
         unbounded = (np.abs(theta).max(axis=1) > COEFFICIENT_BOUND) & (iterations > 0)
-        singular = ~(lam[:, 0] * CONDITION_LIMIT > lam[:, -1])
-        converged = np.abs(grad).max(axis=1) <= config.tolerance
+        converged = (np.abs(grad).max(axis=1) <= config.tolerance) | (stall >= 2)
         spent = iterations >= config.max_iterations
         done = single | unbounded | singular | converged | spent
         if done.any():
@@ -562,8 +637,13 @@ def _fit_batch(
             out.log_likelihood[at] = loglik[done]
             out.iterations[at] = iterations
             out.status[at] = fate[done]
-            out.eigenvalues[at] = lam[done]
-            out.eigenvectors[at] = vec[done]
+            # The covariance, from the factor the slice was decided by.
+            factor = inv_lower[done]
+            with np.errstate(over="ignore", invalid="ignore"):
+                covariance = np.matmul(factor.swapaxes(1, 2), factor)
+            if eigen:
+                covariance[flagged[done]] = eigen_cov[done[flagged]]
+            out.covariance[at] = covariance
             live = np.count_nonzero(~done)
             if not live:
                 break
@@ -574,7 +654,8 @@ def _fit_batch(
             order[holes] = moved = np.flatnonzero(~done[live:]) + live
             X[holes], y[holes] = X[moved], y[moved]
             X, y = X[:live], y[:live]
-            slots, theta, loglik, step = (a[order] for a in (slots, theta, loglik, step))
+            slots, theta, loglik, step, stall, least = (
+                a[order] for a in (slots, theta, loglik, step, stall, least))
             # Every single-class slice retired at the first decision.
             single = False
             (eta, e, h, w), wx = buffers(live)
@@ -582,11 +663,7 @@ def _fit_batch(
         # h and w are free until the accepted candidate's probabilities, so
         # they hold the log-likelihood's per-row terms.
         eta, e, cand_loglik = _evaluate(X, candidate, y, (eta, e, h, w))
-        # Halve only on decreases beyond the rounding noise of the
-        # log-likelihood; reacting to one-ulp regressions near the optimum
-        # would defeat Newton's quadratic tail.
-        slack = _LOGLIK_SLACK * (1.0 + np.abs(loglik))
-        short = cand_loglik < loglik - slack
+        short = cand_loglik < least
         # A slice whose candidate is accepted stays accepted, so every slice
         # still short has been halved `halvings` times.
         halvings = 0
@@ -594,7 +671,7 @@ def _fit_batch(
             step[short] *= 0.5
             candidate = theta + step
             eta, e, cand_loglik = _evaluate(X, candidate, y, (eta, e, h, w))
-            short = cand_loglik < loglik - slack
+            short = cand_loglik < least
             halvings += 1
         theta, loglik = candidate, cand_loglik
         h = _probabilities(eta, e, (h, w))
@@ -606,14 +683,16 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
     """Maximize the Bernoulli log-likelihood by Newton-Raphson.
 
     Full Newton steps, halved up to ten times whenever a step would lower
-    the log-likelihood by more than rounding noise.  Convergence means the
-    largest absolute score component is at most ``config.tolerance``.
+    the log-likelihood by more than rounding noise, unless the step's
+    Newton decrement is itself within that noise.  Convergence means the
+    largest absolute score component is at most ``config.tolerance``, or a
+    Newton decrement within that rounding noise at two iterates running.
     Exhausting the iteration budget returns a result with
     ``converged=False`` rather than raising.
 
-    The information is eigendecomposed once per iterate, the first and the
-    last included; the covariance comes from the final iterate's factor.
-    This is the one-problem case of the stacked kernel the bootstrap and
+    The information is factored once per iterate, the first and the last
+    included; the covariance comes from the final iterate's factor.  This
+    is the one-problem case of the stacked kernel the bootstrap and
     the jackknife refit with.
 
     Raises
@@ -631,8 +710,7 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
     if status in _FAILURES:
         error, message = _FAILURES[status]
         raise error(message)
-    lam, vec = batch.eigenvalues[0], batch.eigenvectors[0]
-    covariance = (vec / lam) @ vec.T
+    covariance = batch.covariance[0]
     covariance = (covariance + covariance.T) * 0.5
     loglik = float(batch.log_likelihood[0])
     return FitResult(

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -411,8 +415,8 @@ class TestStackedRefits:
 
     def test_bootstrap_quasi_separated_study(self):
         result = self.assert_bootstrap_contract(golden_study(30, 3), None, 300, 11)
-        assert result.converged == 224
-        assert 210 not in result.replicate_ids
+        assert result.converged == 225
+        assert 210 in result.replicate_ids
 
     def test_bootstrap_from_initial_coefficients(self):
         data = golden_study(400, 7)
@@ -436,6 +440,57 @@ class TestStackedRefits:
         alone = [single_refit(data, np.delete(np.arange(n), i)) for i in range(n)]
         expected = np.array([c for c in alone if c is not None])
         assert jackknife_estimates(data).tobytes() == expected.tobytes()
+
+
+# The 30-row study's kept ids and every refit's status, as JSON.
+KERNEL_PROBE = f"""
+import hashlib, json
+import numpy as np
+from logitboot import bootstrap_fit, resample_indices
+from logitboot.data_io import SimulationSpec, encode, simulate
+from logitboot.model_core import _fit_batch
+spec = SimulationSpec(coefficients={GOLDEN_COEFFICIENTS!r}, n=30, seed=3)
+data = encode(simulate(spec))
+result = bootstrap_fit(data, replicates=300, master_seed=11)
+rows = np.stack([resample_indices(11, b, 30) for b in range(300)])
+batch = _fit_batch(data.design[rows], data.response[rows])
+kept = result.replicate_ids.astype("<i8").tobytes()
+print(json.dumps({{"kept": hashlib.sha256(kept).hexdigest(),
+                  "count": int(result.converged),
+                  "status": batch.status.tolist()}}))
+"""
+
+
+def avx512_features() -> list[str]:
+    """The AVX-512 targets the running NumPy dispatches to on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [
+        name for name in umath.__cpu_dispatch__
+        if (name == "X86_V4" or name.startswith("AVX512"))
+        and umath.__cpu_features__.get(name)
+    ]
+
+
+class TestKernelIndependence:
+    """Fates do not hinge on which SIMD kernels NumPy and OpenBLAS pick."""
+
+    def test_quasi_separated_study_under_each_kernel_setting(self):
+        disabled = ",".join(avx512_features())
+        settings = [{}, {"OPENBLAS_CORETYPE": "Haswell"},
+                    {"NPY_DISABLE_CPU_FEATURES": disabled} if disabled else {}]
+        outcomes = []
+        for setting in settings:
+            proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, **setting})
+            assert proc.returncode == 0, proc.stderr
+            outcomes.append(json.loads(proc.stdout))
+        assert outcomes[0]["count"] == 225
+        for setting, outcome in zip(settings[1:], outcomes[1:]):
+            assert outcome == outcomes[0], setting
 
 
 class TestWaldCI:
