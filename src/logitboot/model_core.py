@@ -21,9 +21,9 @@ L^-T L^-1 and a bound on the condition number, cond(I) <= tr(I)
 lambda_min from ``eigh`` (a lambda_min that is not positive counts as
 singular, and so does information with a non-finite entry, which ``eigh``
 never sees).  ``eigh`` runs only on the slices whose factor fails or whose
-bound passes half of ``CONDITION_LIMIT``, and those slices take their step
-and covariance from its factor; every other slice is certainly not
-singular.
+bound passes half of ``CONDITION_LIMIT``, and only decides them; every
+other slice is certainly not singular.  A step that is not finite leads to
+a ``SINGULAR`` iterate.
 
 A fit converges when its largest absolute score component is at most the
 tolerance, or when its Newton decrement g' I^-1 g has stayed below the
@@ -440,11 +440,11 @@ class _Batch(NamedTuple):
     """Per-slice results of :func:`_fit_batch`, in the order of its stack.
 
     Each slice records the iterate it left at, with its log-likelihood and
-    the ``covariance``, the inverse of the information there, formed from
-    the factor the retiring decision saw: the start for a ``SINGLE_CLASS``
-    slice, and for an ``UNBOUNDED`` one the first iterate past
-    ``COEFFICIENT_BOUND``.  It is not finite where that information is
-    singular.
+    the ``covariance`` L^-T L^-1, the inverse of the information there,
+    formed from the Cholesky factor the retiring decision saw: the start
+    for a ``SINGLE_CLASS`` slice, and for an ``UNBOUNDED`` one the first
+    iterate past ``COEFFICIENT_BOUND``.  It is NaN where that factor
+    failed, and need not be accurate where the slice is ``SINGULAR``.
     """
 
     coefficients: np.ndarray  # (B, p)
@@ -508,22 +508,26 @@ def _fit_batch(
 
     Each slice follows exactly the iteration :func:`fit_mle` documents, and
     its results are bit-identical to fitting that slice alone (see the
-    module docstring).  Each iterate factors the information by Cholesky,
-    and by ``eigh`` for the slices the condition bound flags, and forms
-    every live slice's Newton step and decrement from its factor; then one
-    decision retires slices, the first match winning: ``SINGLE_CLASS`` (so
-    at iteration 0), ``UNBOUNDED`` (not tested at the start), ``SINGULAR``,
+    module docstring).  Each iterate forms every live slice's Newton step
+    and decrement from its Cholesky factor, ``eigh`` only deciding whether
+    the slices the condition bound flags are singular; then one decision
+    retires slices, the first match winning: ``SINGLE_CLASS`` (so at
+    iteration 0), ``UNBOUNDED`` (not tested at the start), ``SINGULAR``,
     ``CONVERGED``, then ``NOT_CONVERGED`` at the budget.  It is the only
     place a result is written, the covariance formed there from the
-    retiring slices' factors.  Compaction carries a live slice's place,
-    iterate, log-likelihood, step, count of sub-noise decrements and
-    halving threshold past it; the score and the factor are dead by then,
-    and the step of a retired slice, which may not be finite, is never
-    read.  An iterate's ``e = exp(-|eta|)`` serves its log-likelihood and
-    then its probabilities, so each evaluated iterate costs one ``exp``.
-    A halving pass halves the short slices' steps and re-evaluates the
-    whole live stack; an accepted slice's candidate is unchanged, so it
-    evaluates to the same bits again.
+    retiring slices' factors.  Below ``CONDITION_LIMIT`` a factor exists
+    up to width 20 (Demmel's condition; Higham 2002, section 10.1); a wider
+    slice whose factor fails though ``eigh`` finds it not singular gets a
+    NaN step, so it retires ``SINGULAR`` one iterate later and does not
+    crash.  Compaction carries a live slice's place, iterate,
+    log-likelihood, step, count of sub-noise decrements and halving
+    threshold past it; the score and the factor are dead by then, and the
+    step of a retired slice, which may not be finite, is never read.  An
+    iterate's ``e = exp(-|eta|)`` serves its log-likelihood and then its
+    probabilities, so each evaluated iterate costs one ``exp``.  A halving
+    pass halves the short slices' steps and re-evaluates the whole live
+    stack; an accepted slice's candidate is unchanged, so it evaluates to
+    the same bits again.
 
     ``designs`` and ``responses`` are working arrays: compaction moves live
     slices into retired ones' places, so a multi-slice stack is left
@@ -575,39 +579,37 @@ def _fit_batch(
         residual = np.subtract(y, h, out=w)
         grad = np.matmul(X.swapaxes(1, 2), residual[..., None])[..., 0]
         info = _information_from_probs(X, h, (w, wx))
-        # An iterate that overflowed, say after a step through information
-        # too close to zero to invert, has non-finite information.  A zero
-        # matrix stands in for it, which fails the factor and which eigh
-        # finds singular.
+        # An iterate that overflowed, or that a NaN step reached, has
+        # non-finite information.  A zero matrix stands in for it, which
+        # fails the factor and which eigh finds singular.
         if not np.isfinite(info).all():
             info[~np.isfinite(info).all(axis=(1, 2))] = 0.0
         inv_lower = _inverse_factor(info)
         # The Newton step L^-T (L^-1 g) for every live slice, and its
-        # decrement g' step.  A slice that retires below may have a
-        # non-finite step, which nothing reads, so forming it warns of
-        # nothing; a live slice whose step is not finite meets the
-        # non-finite guard above at its next iterate.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # decrement g' step.  A step that is not finite, after an overflow
+        # or a failed factor, is made all NaN: a retiring slice never reads
+        # it, and a live one retires SINGULAR at its next iterate by the
+        # non-finite guard above.  Forming it warns of nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
             # cond(info) <= tr(info) ||L^-1||_F^2, so a slice whose bound is
             # at most _FACTOR_LIMIT is not singular.  The rest, a failed
-            # factor's NaN bound included, are decided by eigh and take
-            # their step and covariance from its factor.
+            # factor's NaN bound included, are decided by eigh.
             bound = info.trace(axis1=1, axis2=2) * np.square(inv_lower).sum(axis=(1, 2))
             flagged = ~(bound <= _FACTOR_LIMIT)
             step = np.matmul(
                 inv_lower.swapaxes(1, 2), np.matmul(inv_lower, grad[..., None])
             )[..., 0]
+            if not np.isfinite(step).all():
+                step[~np.isfinite(step).all(axis=1)] = np.nan
             singular = False
-            if eigen := flagged.any():
-                lam, vec = np.linalg.eigh(info[flagged])
-                # Eigenvalues come in ascending order; the comparison is
-                # False when lambda_min is zero, negative or NaN, so those
+            if flagged.any():
+                lam = np.linalg.eigh(info[flagged])[0]
+                # eigh, not eigvalsh, whose LAPACK routine gives other last
+                # bits.  Eigenvalues come in ascending order; the comparison
+                # is False when lambda_min is zero, negative or NaN, so those
                 # count as singular too.
                 singular = flagged.copy()
                 singular[flagged] = ~(lam[:, 0] * CONDITION_LIMIT > lam[:, -1])
-                ratios = np.matmul(vec.swapaxes(1, 2), grad[flagged, :, None]) / lam[..., None]
-                step[flagged] = np.matmul(vec, ratios)[..., 0]
-                eigen_cov = np.matmul(vec / lam[:, None, :], vec.swapaxes(1, 2))
             decrement = (grad * step).sum(axis=1)
         # The log-likelihood's rounding noise.  A decrement below it for
         # two iterates running means the optimum is reached, whatever the
@@ -637,13 +639,10 @@ def _fit_batch(
             out.log_likelihood[at] = loglik[done]
             out.iterations[at] = iterations
             out.status[at] = fate[done]
-            # The covariance, from the factor the slice was decided by.
+            # The covariance L^-T L^-1, from the factor of the decided iterate.
             factor = inv_lower[done]
             with np.errstate(over="ignore", invalid="ignore"):
-                covariance = np.matmul(factor.swapaxes(1, 2), factor)
-            if eigen:
-                covariance[flagged[done]] = eigen_cov[done[flagged]]
-            out.covariance[at] = covariance
+                out.covariance[at] = np.matmul(factor.swapaxes(1, 2), factor)
             live = np.count_nonzero(~done)
             if not live:
                 break
@@ -703,7 +702,7 @@ def fit_mle(data: EncodedDataset, config: FitConfig | None = None) -> FitResult:
         If an iterate's magnitude crosses ``COEFFICIENT_BOUND``, or the
         information matrix has lambda_max / lambda_min above
         ``CONDITION_LIMIT``, a lambda_min that is not positive, or an entry
-        that is not finite (an iterate that overflowed).
+        that is not finite, as at the iterate an overflowed step reaches.
     """
     batch = _fit_batch(data.design[None], data.response[None], config)
     status = int(batch.status[0])

@@ -43,6 +43,7 @@ from logitboot.model_core import (
     _evaluate,
     _fit_batch,
     _information_from_probs,
+    _inverse_factor,
     _probabilities,
     _whole_number,
     _whole_numbers,
@@ -710,6 +711,23 @@ class TestNonFiniteIterate:
         with pytest.raises(SeparationError, match=match):
             fit_mle(EncodedDataset(design, response), config)
 
+    # From an intercept of -710 or -720 the information is near the
+    # underflow limit but well conditioned (about 2e4), so the start is not
+    # singular and the Newton step overflows.  At -710 the condition bound
+    # (about 4e4) passes without eigh; at -720 it overflows, and eigh
+    # decides the slice.  Either way the iterate the step reaches is
+    # SINGULAR, and nothing warns.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("intercept", [-710.0, -720.0])
+    def test_overflowed_step_is_singular(self, intercept):
+        design, response = self.study(1.0)
+        config = FitConfig(initial_coefficients=(intercept, 0.0, 0.0, 0.0))
+        with pytest.raises(SeparationError, match="singular"):
+            fit_mle(EncodedDataset(design, response), config)
+        batch = _fit_batch(design[None], response[None], config)
+        assert batch.status[0] == SINGULAR
+        assert batch.iterations[0] == 1
+
 
 def test_resample_210_converges_at_its_optimum():
     """Resample 210 of the 30-row study reaches its optimum by iteration
@@ -873,11 +891,11 @@ class TestFactorGuard:
                     assert getattr(batch, field)[slot].tobytes() == \
                         getattr(single, field)[0].tobytes(), (place, k, field)
 
-    @pytest.mark.parametrize("age_scale", [1.0, 10.0, 1e2, 1e3])
+    @pytest.mark.parametrize("age_scale", [1.0, 10.0, 1e2, 1e3, 5e3, 6e3])
     def test_covariance_is_the_inverse_information(self, age_scale):
         """The covariance from the factor keeps its relative accuracy in
         every entry as the Age column's units put the condition number
-        at up to 1e10."""
+        at up to 4.5e11, where the bound flags the slice for eigh."""
         study = encode(
             simulate(SimulationSpec(coefficients=GOLDEN_COEFFICIENTS, n=400, seed=7))
         )
@@ -887,6 +905,25 @@ class TestFactorGuard:
         fit = fit_mle(data)
         info = observed_information(fit.coefficients, data)
         np.testing.assert_allclose(fit.covariance, np.linalg.inv(info), rtol=1e-10)
+
+    @pytest.mark.parametrize("width", range(2, 21))
+    def test_factor_exists_below_the_condition_limit(self, width):
+        """Every slice eigh finds not singular has a Cholesky factor, so
+        its step and covariance come from the factor.  Demmel's condition
+        (Higham 2002, section 10.1) gives one up to width 20 for
+        condition numbers below CONDITION_LIMIT; here SPD matrices with
+        random eigenvectors and condition numbers from a tenth of the
+        limit up to it all factor."""
+        rng = np.random.default_rng(width)
+        for target in CONDITION_LIMIT * np.logspace(-0.95, -0.05, 6):
+            basis = np.linalg.qr(rng.normal(size=(width, width)))[0]
+            spectrum = np.logspace(0.0, -np.log10(target), width)
+            matrix = (basis * spectrum) @ basis.T
+            matrix = (matrix + matrix.T) / 2
+            lam = np.linalg.eigh(matrix)[0]
+            assert CONDITION_LIMIT / 10 <= lam[-1] / lam[0] < CONDITION_LIMIT
+            assert lam[0] * CONDITION_LIMIT > lam[-1]
+            assert np.isfinite(_inverse_factor(matrix[None])).all()
 
 
 class TestDevianceResiduals:
